@@ -60,6 +60,7 @@ check:
 	$(MAKE) swarm-smoke
 	$(MAKE) trace-smoke
 	$(MAKE) reputation-smoke
+	$(MAKE) session-order
 
 # Crash-recovery differential plus a store-overhead benchmark smoke: kill a
 # WAL-backed engine mid-round, reopen the log, finish the campaign, and
@@ -115,3 +116,13 @@ reputation-smoke:
 swarm-smoke:
 	SWARM_AGENTS=100000 SWARM_CAMPAIGNS=100 SWARM_ROUNDS=1 \
 		$(GO) test -race -run TestSwarmSmoke -v ./cmd/crowdsim
+
+# Session-ordering gate: a session completes its bids (sessionDone) before it
+# writes its terminal envelope, so a client that has returned finds its round
+# settled and the next one open. The ordering regression test runs 20 times
+# under the race detector, then the obsctl tests that raced while sessions
+# answered before settling.
+.PHONY: session-order
+session-order:
+	$(GO) test -race -count=20 -run TestSessionSettlesBeforeTerminalWrite ./internal/engine
+	$(GO) test -count=5 -run 'TestRoundTrip|TestSummaryAndTail|TestSLOCommand' ./cmd/obsctl

@@ -12,6 +12,7 @@ import (
 	"math"
 	"math/rand"
 	"net"
+	"strings"
 	"time"
 
 	"crowdsense/internal/auction"
@@ -66,11 +67,19 @@ type Config struct {
 	Spans *span.Tracer
 }
 
-func (c Config) timeout() time.Duration {
-	if c.Timeout <= 0 {
+func (c Config) timeout() time.Duration { return ioTimeout(c.Timeout) }
+
+// ioTimeout applies the 30-second default to a per-step I/O bound.
+func ioTimeout(d time.Duration) time.Duration {
+	if d <= 0 {
 		return 30 * time.Second
 	}
-	return c.Timeout
+	return d
+}
+
+func (c Config) endpoint() endpoint {
+	return endpoint{who: fmt.Sprintf("agent %d", c.User), addr: c.Addr, campaign: c.Campaign,
+		user: c.User, binary: c.Binary, timeout: c.timeout(), seed: c.Seed, spans: c.Spans}
 }
 
 // Result is the agent's view of a completed round.
@@ -135,102 +144,34 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 	sess.Tag(cfg.Campaign, 0)
 	defer sess.End()
 
-	// The dial and submit phases complete before the server's trace context
-	// arrives on the tasks envelope, so their spans are recorded backdated
-	// (ChildSpanning) once the session span has adopted the round's trace.
-	dialStart := time.Now()
-	dialer := net.Dialer{Timeout: cfg.timeout()}
-	conn, err := dialer.DialContext(ctx, "tcp", cfg.Addr)
+	s, err := openSession(ctx, cfg.endpoint(), sess)
 	if err != nil {
-		sess.ChildSpanning(dialStart, time.Since(dialStart), span.NameAgentDial,
-			span.Str("error", "dial"))
-		return Result{}, fmt.Errorf("agent %d: %w: %w", cfg.User, ErrDial, err)
+		return Result{}, err
 	}
-	dialDur := time.Since(dialStart)
-	defer conn.Close()
-	// Honour context cancellation by closing the connection.
-	stop := context.AfterFunc(ctx, func() { conn.Close() })
-	defer stop()
-
-	codec := wire.NewCodec(conn)
-	if cfg.Binary {
-		codec = wire.NewBinaryCodec(conn)
-	}
-	setDeadline := func() { _ = conn.SetDeadline(time.Now().Add(cfg.timeout())) }
-
-	submitStart := time.Now()
-	setDeadline()
-	if err := codec.Write(&wire.Envelope{Type: wire.TypeRegister, Campaign: cfg.Campaign,
-		Register: &wire.Register{User: int(cfg.User)}}); err != nil {
-		sess.ChildSpanning(dialStart, dialDur, span.NameAgentDial)
-		sess.ChildSpanning(submitStart, time.Since(submitStart), span.NameAgentSubmit,
-			span.Str("error", "register"))
-		return Result{}, fmt.Errorf("agent %d: register: %w", cfg.User, err)
-	}
-
-	setDeadline()
-	env, err := codec.Expect(wire.TypeTasks)
-	if err != nil {
-		sess.ChildSpanning(dialStart, dialDur, span.NameAgentDial)
-		sess.ChildSpanning(submitStart, time.Since(submitStart), span.NameAgentSubmit,
-			span.Str("error", "tasks"))
-		if shardMoved(err) {
-			err = fmt.Errorf("%w: %w", ErrShardMoved, err)
-		}
-		return Result{}, fmt.Errorf("agent %d: tasks: %w", cfg.User, err)
-	}
-	adoptTrace(sess, env.Trace)
-	sess.ChildSpanning(dialStart, dialDur, span.NameAgentDial)
+	defer s.close()
 	res := Result{Registered: true}
-	published := make(map[auction.TaskID]bool, len(env.Tasks.Tasks))
-	for _, spec := range env.Tasks.Tasks {
-		published[auction.TaskID(spec.ID)] = true
-	}
 	if cfg.AutoType != nil {
-		cfg.TrueBid = cfg.AutoType(env.Tasks.Tasks)
+		cfg.TrueBid = cfg.AutoType(s.tasks)
 	}
 
 	// Compose the sealed bid on the intersection with the published tasks.
-	var taskIDs []int
-	pos := make(map[int]float64)
-	for _, id := range cfg.TrueBid.Tasks {
-		if !published[id] {
-			continue
-		}
-		p := cfg.TrueBid.PoS[id]
-		if declared, ok := cfg.DeclaredPoS[id]; ok {
-			p = declared
-		}
-		taskIDs = append(taskIDs, int(id))
-		pos[int(id)] = p
-	}
+	taskIDs, pos := s.intersect(cfg.TrueBid, cfg.DeclaredPoS)
 	if len(taskIDs) == 0 {
-		sess.ChildSpanning(submitStart, time.Since(submitStart), span.NameAgentSubmit,
-			span.Str("error", "no_overlap"))
+		s.submitSpan(span.Str("error", "no_overlap"))
 		return res, errors.New("agent: no published task intersects the user's task set")
 	}
-	setDeadline()
-	if err := codec.Write(&wire.Envelope{Type: wire.TypeBid, Campaign: cfg.Campaign, Bid: &wire.Bid{
+	if err := s.submit(&wire.Envelope{Type: wire.TypeBid, Campaign: cfg.Campaign, Bid: &wire.Bid{
 		User:  int(cfg.User),
 		Tasks: taskIDs,
 		Cost:  cfg.TrueBid.Cost,
 		PoS:   pos,
-	}}); err != nil {
-		sess.ChildSpanning(submitStart, time.Since(submitStart), span.NameAgentSubmit,
-			span.Str("error", "bid"))
-		return res, fmt.Errorf("agent %d: bid: %w", cfg.User, lostSession(err))
+	}}, span.Int("tasks", int64(len(taskIDs)))); err != nil {
+		return res, err
 	}
-	sess.ChildSpanning(submitStart, time.Since(submitStart), span.NameAgentSubmit,
-		span.Int("tasks", int64(len(taskIDs))))
 
-	// Await the award. The platform may take a while to gather all bids,
-	// so this step uses a generous deadline.
-	awaitSpan := sess.Child(span.NameAgentAward)
-	_ = conn.SetDeadline(time.Now().Add(10 * cfg.timeout()))
-	env, err = codec.Expect(wire.TypeAward)
+	env, awaitSpan, err := s.award(wire.TypeAward)
 	if err != nil {
-		awaitSpan.EndWith(span.Str("error", "award"))
-		return res, fmt.Errorf("agent %d: award: %w", cfg.User, lostSession(err))
+		return res, err
 	}
 	res.Award = *env.Award
 	res.Selected = env.Award.Selected
@@ -243,34 +184,185 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 		return res, nil
 	}
 
-	// Execute: attempt every task in the TRUE task set that was bid on,
-	// succeeding with the TRUE PoS.
-	rng := stats.NewRand(cfg.Seed)
+	attempt, succeeded := execute(stats.NewRand(cfg.Seed), cfg.TrueBid, taskIDs)
+	res.Attempt = attempt
+	env, err = s.report(&wire.Envelope{Type: wire.TypeReport, Report: &wire.Report{
+		User:      int(cfg.User),
+		Succeeded: succeeded,
+	}}, wire.TypeSettle)
+	if err != nil {
+		return res, err
+	}
+	res.Settle = *env.Settle
+	return res, nil
+}
+
+// endpoint is what both clients (Run and RunBatch) share: where and as whom
+// to open a session, and the seed and tracer of its retry policy.
+type endpoint struct {
+	who      string // error prefix, e.g. "agent 3" or "aggregator 1000"
+	addr     string
+	campaign string
+	user     auction.UserID // registration identity
+	binary   bool
+	timeout  time.Duration
+	seed     int64
+	spans    *span.Tracer
+}
+
+// session is one platform connection that got past registration.
+type session struct {
+	conn        net.Conn
+	codec       *wire.Codec
+	stop        func() bool
+	span        *span.Span // the client-side agent.session root
+	ep          endpoint
+	tasks       []wire.TaskSpec
+	published   map[auction.TaskID]bool
+	submitStart time.Time
+}
+
+// openSession dials the platform, registers and reads the published tasks.
+// The dial and submit phases complete before the server's trace context
+// arrives on the tasks envelope, so their spans are recorded backdated
+// (ChildSpanning) once sess has adopted the round's trace. A failed dial is
+// ErrDial; a shard-moved rejection of the registration is ErrShardMoved.
+func openSession(ctx context.Context, ep endpoint, sess *span.Span) (*session, error) {
+	dialStart := time.Now()
+	dialer := net.Dialer{Timeout: ep.timeout}
+	conn, err := dialer.DialContext(ctx, "tcp", ep.addr)
+	if err != nil {
+		sess.ChildSpanning(dialStart, time.Since(dialStart), span.NameAgentDial,
+			span.Str("error", "dial"))
+		return nil, fmt.Errorf("%s: %w: %w", ep.who, ErrDial, err)
+	}
+	dialDur := time.Since(dialStart)
+	s := &session{conn: conn, span: sess, ep: ep,
+		// Honour context cancellation by closing the connection.
+		stop: context.AfterFunc(ctx, func() { conn.Close() })}
+	s.codec = wire.NewCodec(conn)
+	if ep.binary {
+		s.codec = wire.NewBinaryCodec(conn)
+	}
+
+	s.submitStart = time.Now()
+	s.setDeadline()
+	err = s.codec.Write(&wire.Envelope{Type: wire.TypeRegister, Campaign: ep.campaign,
+		Register: &wire.Register{User: int(ep.user)}})
+	step := "register"
+	var env *wire.Envelope
+	if err == nil {
+		s.setDeadline()
+		env, err = s.codec.Expect(wire.TypeTasks)
+		step = "tasks"
+	}
+	if err != nil {
+		sess.ChildSpanning(dialStart, dialDur, span.NameAgentDial)
+		s.submitSpan(span.Str("error", step))
+		s.close()
+		if shardMoved(err) {
+			err = fmt.Errorf("%w: %w", ErrShardMoved, err)
+		}
+		return nil, fmt.Errorf("%s: %s: %w", ep.who, step, err)
+	}
+	adoptTrace(sess, env.Trace)
+	sess.ChildSpanning(dialStart, dialDur, span.NameAgentDial)
+	s.tasks = env.Tasks.Tasks
+	s.published = make(map[auction.TaskID]bool, len(s.tasks))
+	for _, spec := range s.tasks {
+		s.published[auction.TaskID(spec.ID)] = true
+	}
+	return s, nil
+}
+
+func (s *session) close() {
+	s.stop()
+	s.conn.Close()
+}
+
+func (s *session) setDeadline() { _ = s.conn.SetDeadline(time.Now().Add(s.ep.timeout)) }
+
+// submitSpan records the backdated submit phase, register write to bid sent.
+func (s *session) submitSpan(attrs ...span.Attr) {
+	s.span.ChildSpanning(s.submitStart, time.Since(s.submitStart), span.NameAgentSubmit, attrs...)
+}
+
+// intersect composes a sealed bid's task list and PoS on the intersection of
+// bid's task set with the published tasks; declared overrides the PoS of the
+// tasks it names (strategic misreporting).
+func (s *session) intersect(bid auction.Bid, declared map[auction.TaskID]float64) ([]int, map[int]float64) {
+	var taskIDs []int
+	pos := make(map[int]float64, len(bid.Tasks))
+	for _, id := range bid.Tasks {
+		if !s.published[id] {
+			continue
+		}
+		p := bid.PoS[id]
+		if d, ok := declared[id]; ok {
+			p = d
+		}
+		taskIDs = append(taskIDs, int(id))
+		pos[int(id)] = p
+	}
+	return taskIDs, pos
+}
+
+// label names a message type in error strings ("bid batch").
+func label(t wire.MsgType) string { return strings.ReplaceAll(string(t), "_", " ") }
+
+// submit sends the sealed bid (or bid batch) and ends the submit phase.
+func (s *session) submit(env *wire.Envelope, done span.Attr) error {
+	s.setDeadline()
+	if err := s.codec.Write(env); err != nil {
+		s.submitSpan(span.Str("error", string(env.Type)))
+		return fmt.Errorf("%s: %s: %w", s.ep.who, label(env.Type), lostSession(err))
+	}
+	s.submitSpan(done)
+	return nil
+}
+
+// award awaits the award envelope of type t inside an award_wait span, which
+// the caller ends on success. The platform may take a while to gather all
+// bids, so this step uses a generous deadline.
+func (s *session) award(t wire.MsgType) (*wire.Envelope, *span.Span, error) {
+	wait := s.span.Child(span.NameAgentAward)
+	_ = s.conn.SetDeadline(time.Now().Add(10 * s.ep.timeout))
+	env, err := s.codec.Expect(t)
+	if err != nil {
+		wait.EndWith(span.Str("error", string(t)))
+		return nil, nil, fmt.Errorf("%s: %s: %w", s.ep.who, label(t), lostSession(err))
+	}
+	return env, wait, nil
+}
+
+// report sends the winners' execution reports and reads the settlement
+// envelope of type settle, inside the settle span.
+func (s *session) report(env *wire.Envelope, settle wire.MsgType, attrs ...span.Attr) (*wire.Envelope, error) {
+	sp := s.span.Child(span.NameAgentSettle, attrs...)
+	s.setDeadline()
+	if err := s.codec.Write(env); err != nil {
+		sp.EndWith(span.Str("error", string(env.Type)))
+		return nil, fmt.Errorf("%s: %s: %w", s.ep.who, label(env.Type), err)
+	}
+	s.setDeadline()
+	reply, err := s.codec.Expect(settle)
+	if err != nil {
+		sp.EndWith(span.Str("error", string(settle)))
+		return nil, fmt.Errorf("%s: %s: %w", s.ep.who, label(settle), err)
+	}
+	sp.End()
+	return reply, nil
+}
+
+// execute simulates a winner attempting every task it bid on, each
+// succeeding with the TRUE PoS: one Bernoulli draw per task, in bid order.
+func execute(rng *rand.Rand, truth auction.Bid, taskIDs []int) (map[auction.TaskID]bool, map[int]bool) {
 	attempt := make(map[auction.TaskID]bool, len(taskIDs))
 	succeeded := make(map[int]bool, len(taskIDs))
 	for _, id := range taskIDs {
-		ok := stats.Bernoulli(rng, cfg.TrueBid.PoS[auction.TaskID(id)])
+		ok := stats.Bernoulli(rng, truth.PoS[auction.TaskID(id)])
 		attempt[auction.TaskID(id)] = ok
 		succeeded[id] = ok
 	}
-	res.Attempt = attempt
-	settleSpan := sess.Child(span.NameAgentSettle)
-	setDeadline()
-	if err := codec.Write(&wire.Envelope{Type: wire.TypeReport, Report: &wire.Report{
-		User:      int(cfg.User),
-		Succeeded: succeeded,
-	}}); err != nil {
-		settleSpan.EndWith(span.Str("error", "report"))
-		return res, fmt.Errorf("agent %d: report: %w", cfg.User, err)
-	}
-
-	setDeadline()
-	env, err = codec.Expect(wire.TypeSettle)
-	if err != nil {
-		settleSpan.EndWith(span.Str("error", "settle"))
-		return res, fmt.Errorf("agent %d: settle: %w", cfg.User, err)
-	}
-	settleSpan.End()
-	res.Settle = *env.Settle
-	return res, nil
+	return attempt, succeeded
 }

@@ -2,9 +2,7 @@ package agent
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"net"
 	"time"
 
 	"crowdsense/internal/auction"
@@ -53,11 +51,10 @@ type BatchConfig struct {
 	Spans *span.Tracer
 }
 
-func (c BatchConfig) timeout() time.Duration {
-	if c.Timeout <= 0 {
-		return 30 * time.Second
-	}
-	return c.Timeout
+func (c BatchConfig) endpoint() endpoint {
+	return endpoint{who: fmt.Sprintf("aggregator %d", c.Aggregator), addr: c.Addr,
+		campaign: c.Campaign, user: c.Aggregator, binary: c.Binary,
+		timeout: ioTimeout(c.Timeout), seed: c.Seed, spans: c.Spans}
 }
 
 // BatchResult is the aggregator's view of a completed round: one Result per
@@ -81,55 +78,13 @@ func RunBatch(ctx context.Context, cfg BatchConfig) (BatchResult, error) {
 	sess.Tag(cfg.Campaign, 0)
 	defer sess.End()
 
-	// As in Run, the dial and submit phases finish before the tasks envelope
-	// delivers the round's trace context, so their spans are backdated.
-	dialStart := time.Now()
-	dialer := net.Dialer{Timeout: cfg.timeout()}
-	conn, err := dialer.DialContext(ctx, "tcp", cfg.Addr)
+	s, err := openSession(ctx, cfg.endpoint(), sess)
 	if err != nil {
-		sess.ChildSpanning(dialStart, time.Since(dialStart), span.NameAgentDial,
-			span.Str("error", "dial"))
-		return res, fmt.Errorf("aggregator %d: %w: %w", cfg.Aggregator, ErrDial, err)
+		return res, err
 	}
-	dialDur := time.Since(dialStart)
-	defer conn.Close()
-	stop := context.AfterFunc(ctx, func() { conn.Close() })
-	defer stop()
-
-	codec := wire.NewCodec(conn)
-	if cfg.Binary {
-		codec = wire.NewBinaryCodec(conn)
-	}
-	setDeadline := func() { _ = conn.SetDeadline(time.Now().Add(cfg.timeout())) }
-
-	submitStart := time.Now()
-	setDeadline()
-	if err := codec.Write(&wire.Envelope{Type: wire.TypeRegister, Campaign: cfg.Campaign,
-		Register: &wire.Register{User: int(cfg.Aggregator)}}); err != nil {
-		sess.ChildSpanning(dialStart, dialDur, span.NameAgentDial)
-		sess.ChildSpanning(submitStart, time.Since(submitStart), span.NameAgentSubmit,
-			span.Str("error", "register"))
-		return res, fmt.Errorf("aggregator %d: register: %w", cfg.Aggregator, err)
-	}
-	setDeadline()
-	env, err := codec.Expect(wire.TypeTasks)
-	if err != nil {
-		sess.ChildSpanning(dialStart, dialDur, span.NameAgentDial)
-		sess.ChildSpanning(submitStart, time.Since(submitStart), span.NameAgentSubmit,
-			span.Str("error", "tasks"))
-		if shardMoved(err) {
-			err = fmt.Errorf("%w: %w", ErrShardMoved, err)
-		}
-		return res, fmt.Errorf("aggregator %d: tasks: %w", cfg.Aggregator, err)
-	}
-	adoptTrace(sess, env.Trace)
-	sess.ChildSpanning(dialStart, dialDur, span.NameAgentDial)
-	published := make(map[auction.TaskID]bool, len(env.Tasks.Tasks))
-	for _, spec := range env.Tasks.Tasks {
-		published[auction.TaskID(spec.ID)] = true
-	}
+	defer s.close()
 	if cfg.AutoTypes != nil {
-		cfg.Bids = cfg.AutoTypes(env.Tasks.Tasks)
+		cfg.Bids = cfg.AutoTypes(s.tasks)
 	}
 
 	// Compose every agent's sealed bid on its intersection with the
@@ -143,15 +98,7 @@ func RunBatch(ctx context.Context, cfg BatchConfig) (BatchResult, error) {
 	byUser := make(map[auction.UserID]carried, len(cfg.Bids))
 	for _, bid := range cfg.Bids {
 		res.Results[bid.User] = Result{Registered: true}
-		var taskIDs []int
-		pos := make(map[int]float64, len(bid.Tasks))
-		for _, id := range bid.Tasks {
-			if !published[id] {
-				continue
-			}
-			taskIDs = append(taskIDs, int(id))
-			pos[int(id)] = bid.PoS[id]
-		}
+		taskIDs, pos := s.intersect(bid, nil)
 		if len(taskIDs) == 0 {
 			res.Rejected++
 			continue
@@ -161,27 +108,17 @@ func RunBatch(ctx context.Context, cfg BatchConfig) (BatchResult, error) {
 		byUser[bid.User] = carried{bid: bid, tasks: taskIDs}
 	}
 	if len(frame) == 0 {
-		sess.ChildSpanning(submitStart, time.Since(submitStart), span.NameAgentSubmit,
-			span.Str("error", "no_overlap"))
+		s.submitSpan(span.Str("error", "no_overlap"))
 		return res, fmt.Errorf("aggregator %d: no carried bid intersects the published tasks", cfg.Aggregator)
 	}
-	setDeadline()
-	if err := codec.Write(&wire.Envelope{Type: wire.TypeBidBatch, Campaign: cfg.Campaign,
-		BidBatch: &wire.BidBatch{Bids: frame}}); err != nil {
-		sess.ChildSpanning(submitStart, time.Since(submitStart), span.NameAgentSubmit,
-			span.Str("error", "bid_batch"))
-		return res, fmt.Errorf("aggregator %d: bid batch: %w", cfg.Aggregator, lostSession(err))
+	if err := s.submit(&wire.Envelope{Type: wire.TypeBidBatch, Campaign: cfg.Campaign,
+		BidBatch: &wire.BidBatch{Bids: frame}}, span.Int("bids", int64(len(frame)))); err != nil {
+		return res, err
 	}
-	sess.ChildSpanning(submitStart, time.Since(submitStart), span.NameAgentSubmit,
-		span.Int("bids", int64(len(frame))))
 
-	// Await the awards; like Run, give the round time to gather bids.
-	awaitSpan := sess.Child(span.NameAgentAward)
-	_ = conn.SetDeadline(time.Now().Add(10 * cfg.timeout()))
-	env, err = codec.Expect(wire.TypeAwardBatch)
+	env, awaitSpan, err := s.award(wire.TypeAwardBatch)
 	if err != nil {
-		awaitSpan.EndWith(span.Str("error", "award_batch"))
-		return res, fmt.Errorf("aggregator %d: award batch: %w", cfg.Aggregator, lostSession(err))
+		return res, err
 	}
 	if got, want := len(env.AwardBatch.Awards), len(frame); got != want {
 		awaitSpan.EndWith(span.Str("error", "award_batch_size"))
@@ -203,21 +140,14 @@ func RunBatch(ctx context.Context, cfg BatchConfig) (BatchResult, error) {
 		r := res.Results[user]
 		if ua.Error != "" {
 			res.Rejected++
-			res.Results[user] = r
 			continue
 		}
 		res.Admitted++
 		r.Award = ua.Award
 		r.Selected = ua.Selected
 		if ua.Selected {
-			attempt := make(map[auction.TaskID]bool, len(c.tasks))
-			succeeded := make(map[int]bool, len(c.tasks))
-			for _, id := range c.tasks {
-				ok := stats.Bernoulli(rng, c.bid.PoS[auction.TaskID(id)])
-				attempt[auction.TaskID(id)] = ok
-				succeeded[id] = ok
-			}
-			r.Attempt = attempt
+			var succeeded map[int]bool
+			r.Attempt, succeeded = execute(rng, c.bid, c.tasks)
 			reports = append(reports, wire.Report{User: ua.User, Succeeded: succeeded})
 		}
 		res.Results[user] = r
@@ -225,20 +155,12 @@ func RunBatch(ctx context.Context, cfg BatchConfig) (BatchResult, error) {
 	if len(reports) == 0 {
 		return res, nil // no winners carried: the session is complete
 	}
-	settleSpan := sess.Child(span.NameAgentSettle, span.Int("reports", int64(len(reports))))
-	setDeadline()
-	if err := codec.Write(&wire.Envelope{Type: wire.TypeReportBatch, Campaign: cfg.Campaign,
-		ReportBatch: &wire.ReportBatch{Reports: reports}}); err != nil {
-		settleSpan.EndWith(span.Str("error", "report_batch"))
-		return res, fmt.Errorf("aggregator %d: report batch: %w", cfg.Aggregator, err)
-	}
-	setDeadline()
-	env, err = codec.Expect(wire.TypeSettleBatch)
+	env, err = s.report(&wire.Envelope{Type: wire.TypeReportBatch, Campaign: cfg.Campaign,
+		ReportBatch: &wire.ReportBatch{Reports: reports}}, wire.TypeSettleBatch,
+		span.Int("reports", int64(len(reports))))
 	if err != nil {
-		settleSpan.EndWith(span.Str("error", "settle_batch"))
-		return res, fmt.Errorf("aggregator %d: settle batch: %w", cfg.Aggregator, err)
+		return res, err
 	}
-	settleSpan.End()
 	for _, us := range env.SettleBatch.Settles {
 		user := auction.UserID(us.User)
 		r, ok := res.Results[user]
@@ -252,45 +174,12 @@ func RunBatch(ctx context.Context, cfg BatchConfig) (BatchResult, error) {
 }
 
 // RunBatchWithBackoff executes RunBatch under the same retry policy as
-// RunWithBackoff: dial failures, lost sessions, and shard moves are retried
-// with bounded exponential backoff; errors the peer articulated are not. A
-// session that got as far as the task publication resets the delay.
+// RunWithBackoff. A session that got as far as the task publication resets
+// the delay.
 func RunBatchWithBackoff(ctx context.Context, cfg BatchConfig, b Backoff) (BatchResult, error) {
-	rng := stats.NewRand(cfg.Seed ^ int64(cfg.Aggregator))
-	var lastErr error
-	streak := 0
-	for attempt := 0; attempt < b.attempts(); attempt++ {
-		if attempt > 0 {
-			d := b.delay(streak-1, rng)
-			redial := cfg.Spans.Start(span.NameAgentRedial,
-				span.Int("user", int64(cfg.Aggregator)),
-				span.Int("attempt", int64(attempt)),
-				span.Str("error", errClass(lastErr)),
-				span.Int("delay_ns", int64(d)))
-			redial.Tag(cfg.Campaign, 0)
-			timer := time.NewTimer(d)
-			select {
-			case <-ctx.Done():
-				timer.Stop()
-				redial.End()
-				return BatchResult{}, ctx.Err()
-			case <-timer.C:
-			}
-			redial.End()
-		}
+	return retry(ctx, b, cfg.endpoint(), func(int) (BatchResult, bool, error) {
 		res, err := RunBatch(ctx, cfg)
-		retryable := errors.Is(err, ErrDial) || errors.Is(err, ErrLostSession) || errors.Is(err, ErrShardMoved)
-		if err == nil || !retryable || ctx.Err() != nil {
-			return res, err
-		}
 		// Results are populated once tasks arrived: the platform was up.
-		if len(res.Results) > 0 || errors.Is(err, ErrShardMoved) {
-			streak = 1
-		} else {
-			streak++
-		}
-		lastErr = err
-	}
-	return BatchResult{}, fmt.Errorf("aggregator %d: %d attempts exhausted: %w",
-		cfg.Aggregator, b.attempts(), lastErr)
+		return res, len(res.Results) > 0, err
+	})
 }

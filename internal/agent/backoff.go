@@ -112,15 +112,30 @@ func (b Backoff) delay(n int, rng *rand.Rand) time.Duration {
 }
 
 // RunWithBackoff executes one auction round like Run, but retries dial
-// failures and lost sessions under the backoff policy instead of dying on
-// the first refused connection — agents started before the platform, between
-// rounds, or across a platform crash-and-recover converge. The delay resets
-// after any attempt that got as far as registering: the platform was
-// demonstrably up, so the next retry starts from Base again rather than
-// resuming at max backoff. Any non-retryable error, and the last retryable
-// error once attempts are exhausted, is returned unchanged.
+// failures, lost sessions and shard moves under the backoff policy instead of
+// dying on the first refused connection — agents started before the
+// platform, between rounds, or across a platform crash-and-recover converge.
+// Any non-retryable error, and the last retryable error once attempts are
+// exhausted, is returned unchanged.
 func RunWithBackoff(ctx context.Context, cfg Config, b Backoff) (Result, error) {
-	rng := stats.NewRand(cfg.Seed ^ int64(cfg.User))
+	return retry(ctx, b, cfg.endpoint(), func(attempt int) (Result, bool, error) {
+		res, err := Run(ctx, cfg)
+		res.Redials = attempt
+		return res, res.Registered, err
+	})
+}
+
+// retry is the one retry loop behind RunWithBackoff and RunBatchWithBackoff.
+// It calls run with the 0-based attempt number until run succeeds, fails
+// with an error the peer articulated, or attempts run out; dial failures,
+// lost sessions and shard moves are retried with bounded exponential backoff.
+// The delay resets after any attempt that got as far as registering (run
+// reports it): the platform was demonstrably up, so the next retry starts
+// from Base again rather than resuming at max backoff. Cancellation and
+// exhaustion return the zero result.
+func retry[R any](ctx context.Context, b Backoff, ep endpoint, run func(attempt int) (R, bool, error)) (R, error) {
+	var zero R
+	rng := stats.NewRand(ep.seed ^ int64(ep.user))
 	var lastErr error
 	streak := 0 // consecutive failures since the platform last answered
 	for attempt := 0; attempt < b.attempts(); attempt++ {
@@ -128,38 +143,36 @@ func RunWithBackoff(ctx context.Context, cfg Config, b Backoff) (Result, error) 
 			d := b.delay(streak-1, rng)
 			// The redial span covers the backoff wait, carrying why the
 			// previous attempt failed and how long the retry was delayed.
-			redial := cfg.Spans.Start(span.NameAgentRedial,
-				span.Int("user", int64(cfg.User)),
+			redial := ep.spans.Start(span.NameAgentRedial,
+				span.Int("user", int64(ep.user)),
 				span.Int("attempt", int64(attempt)),
 				span.Str("error", errClass(lastErr)),
 				span.Int("delay_ns", int64(d)))
-			redial.Tag(cfg.Campaign, 0)
+			redial.Tag(ep.campaign, 0)
 			timer := time.NewTimer(d)
 			select {
 			case <-ctx.Done():
 				timer.Stop()
 				redial.End()
-				return Result{}, ctx.Err()
+				return zero, ctx.Err()
 			case <-timer.C:
 			}
 			redial.End()
 		}
-		res, err := Run(ctx, cfg)
+		res, registered, err := run(attempt)
 		retryable := errors.Is(err, ErrDial) || errors.Is(err, ErrLostSession) || errors.Is(err, ErrShardMoved)
 		if err == nil || !retryable || ctx.Err() != nil {
-			res.Redials = attempt
 			return res, err
 		}
 		// A shard-moved rejection resets the delay like a registration did:
 		// the router demonstrably answered, the shard is mid-failover, and
 		// the fresh session will re-register from scratch.
-		if res.Registered || errors.Is(err, ErrShardMoved) {
+		if registered || errors.Is(err, ErrShardMoved) {
 			streak = 1
 		} else {
 			streak++
 		}
 		lastErr = err
 	}
-	return Result{}, fmt.Errorf("agent %d: %d attempts exhausted: %w",
-		cfg.User, b.attempts(), lastErr)
+	return zero, fmt.Errorf("%s: %d attempts exhausted: %w", ep.who, b.attempts(), lastErr)
 }

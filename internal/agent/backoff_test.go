@@ -10,7 +10,63 @@ import (
 
 	"crowdsense/internal/auction"
 	"crowdsense/internal/engine"
+	"crowdsense/internal/obs/span"
 )
+
+// client is one of the two agent clients, driven from a one-bid Config: Run
+// and RunWithBackoff directly, RunBatch and RunBatchWithBackoff as an
+// aggregator carrying the config's bid. The session and retry tests run
+// every case against both.
+type client struct {
+	name string
+	// once runs one session and reports whether it got past registration.
+	once func(ctx context.Context, cfg Config) (registered bool, err error)
+	// retry runs the session under the backoff policy and reports how many
+	// redials the final attempt needed.
+	retry func(ctx context.Context, cfg Config, b Backoff) (redials int, err error)
+}
+
+var clients = []client{
+	{
+		name: "per-bid",
+		once: func(ctx context.Context, cfg Config) (bool, error) {
+			res, err := Run(ctx, cfg)
+			return res.Registered, err
+		},
+		retry: func(ctx context.Context, cfg Config, b Backoff) (int, error) {
+			res, err := RunWithBackoff(ctx, cfg, b)
+			return res.Redials, err
+		},
+	},
+	{
+		name: "batch",
+		once: func(ctx context.Context, cfg Config) (bool, error) {
+			res, err := RunBatch(ctx, asBatch(cfg))
+			return len(res.Results) > 0, err
+		},
+		retry: func(ctx context.Context, cfg Config, b Backoff) (int, error) {
+			// A BatchResult carries no redial count: count the redial spans.
+			ring := span.NewRing(64)
+			bc := asBatch(cfg)
+			bc.Spans = span.New(ring)
+			_, err := RunBatchWithBackoff(ctx, bc, b)
+			redials := 0
+			for _, rec := range ring.Recent(64) {
+				if rec.Name == span.NameAgentRedial {
+					redials++
+				}
+			}
+			return redials, err
+		},
+	},
+}
+
+// asBatch carries a one-bid Config's bid in an aggregator session that
+// registers as the same user.
+func asBatch(cfg Config) BatchConfig {
+	return BatchConfig{Addr: cfg.Addr, Campaign: cfg.Campaign, Aggregator: cfg.User,
+		Bids: []auction.Bid{cfg.TrueBid}, Seed: cfg.Seed, Timeout: cfg.Timeout, Binary: cfg.Binary}
+}
 
 func TestBackoffDelayBoundedWithJitter(t *testing.T) {
 	b := Backoff{Base: 100 * time.Millisecond, Max: time.Second}
@@ -28,32 +84,40 @@ func TestBackoffDelayBoundedWithJitter(t *testing.T) {
 }
 
 func TestRunWithBackoffExhaustsAttempts(t *testing.T) {
-	start := time.Now()
-	_, err := RunWithBackoff(context.Background(), Config{
-		Addr:    "127.0.0.1:1", // nothing listens there
-		User:    1,
-		TrueBid: auction.NewBid(1, []auction.TaskID{1}, 2, map[auction.TaskID]float64{1: 0.5}),
-		Timeout: 500 * time.Millisecond,
-	}, Backoff{Attempts: 3, Base: 10 * time.Millisecond, Max: 50 * time.Millisecond})
-	if !errors.Is(err, ErrDial) {
-		t.Fatalf("error = %v, want ErrDial", err)
-	}
-	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Errorf("exhausting 3 fast attempts took %v", elapsed)
+	for _, c := range clients {
+		t.Run(c.name, func(t *testing.T) {
+			start := time.Now()
+			_, err := c.retry(context.Background(), Config{
+				Addr:    "127.0.0.1:1", // nothing listens there
+				User:    1,
+				TrueBid: auction.NewBid(1, []auction.TaskID{1}, 2, map[auction.TaskID]float64{1: 0.5}),
+				Timeout: 500 * time.Millisecond,
+			}, Backoff{Attempts: 3, Base: 10 * time.Millisecond, Max: 50 * time.Millisecond})
+			if !errors.Is(err, ErrDial) {
+				t.Fatalf("error = %v, want ErrDial", err)
+			}
+			if elapsed := time.Since(start); elapsed > 10*time.Second {
+				t.Errorf("exhausting 3 fast attempts took %v", elapsed)
+			}
+		})
 	}
 }
 
 func TestRunWithBackoffRespectsContext(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	_, err := RunWithBackoff(ctx, Config{
-		Addr:    "127.0.0.1:1",
-		User:    1,
-		TrueBid: auction.NewBid(1, []auction.TaskID{1}, 2, map[auction.TaskID]float64{1: 0.5}),
-		Timeout: 500 * time.Millisecond,
-	}, Backoff{Attempts: 100, Base: time.Second, Max: time.Second})
-	if err == nil {
-		t.Fatal("cancelled backoff should fail")
+	for _, c := range clients {
+		t.Run(c.name, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+			defer cancel()
+			_, err := c.retry(ctx, Config{
+				Addr:    "127.0.0.1:1",
+				User:    1,
+				TrueBid: auction.NewBid(1, []auction.TaskID{1}, 2, map[auction.TaskID]float64{1: 0.5}),
+				Timeout: 500 * time.Millisecond,
+			}, Backoff{Attempts: 100, Base: time.Second, Max: time.Second})
+			if err == nil {
+				t.Fatal("cancelled backoff should fail")
+			}
+		})
 	}
 }
 
@@ -61,57 +125,61 @@ func TestRunWithBackoffRespectsContext(t *testing.T) {
 // platform exists: the agent must retry until the engine comes up and then
 // complete the round.
 func TestRunWithBackoffConvergesOnLatePlatform(t *testing.T) {
-	// Reserve an address, then release it for the engine to take later.
-	probe, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := probe.Addr().String()
-	probe.Close()
+	for _, c := range clients {
+		t.Run(c.name, func(t *testing.T) {
+			// Reserve an address, then release it for the engine to take later.
+			probe, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			addr := probe.Addr().String()
+			probe.Close()
 
-	resCh := make(chan error, 1)
-	go func() {
-		_, err := RunWithBackoff(context.Background(), Config{
-			Addr:    addr,
-			User:    1,
-			TrueBid: auction.NewBid(1, []auction.TaskID{1}, 2, map[auction.TaskID]float64{1: 0.8}),
-			Seed:    1,
-			Timeout: 10 * time.Second,
-		}, Backoff{Attempts: 20, Base: 50 * time.Millisecond, Max: 250 * time.Millisecond})
-		resCh <- err
-	}()
+			resCh := make(chan error, 1)
+			go func() {
+				_, err := c.retry(context.Background(), Config{
+					Addr:    addr,
+					User:    1,
+					TrueBid: auction.NewBid(1, []auction.TaskID{1}, 2, map[auction.TaskID]float64{1: 0.8}),
+					Seed:    1,
+					Timeout: 10 * time.Second,
+				}, Backoff{Attempts: 20, Base: 50 * time.Millisecond, Max: 250 * time.Millisecond})
+				resCh <- err
+			}()
 
-	time.Sleep(300 * time.Millisecond) // a few refused dials happen here
+			time.Sleep(300 * time.Millisecond) // a few refused dials happen here
 
-	e := engine.New(engine.Config{ConnTimeout: 10 * time.Second})
-	if err := e.AddCampaign(engine.CampaignConfig{
-		ID:              "main",
-		Tasks:           []auction.Task{{ID: 1, Requirement: 0.6}},
-		ExpectedBidders: 1,
-		Alpha:           10,
-		Epsilon:         0.5,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Listen(addr); err != nil {
-		t.Skipf("reserved address was taken: %v", err)
-	}
-	done := make(chan error, 1)
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-		defer cancel()
-		done <- e.Serve(ctx)
-	}()
+			e := engine.New(engine.Config{ConnTimeout: 10 * time.Second})
+			if err := e.AddCampaign(engine.CampaignConfig{
+				ID:              "main",
+				Tasks:           []auction.Task{{ID: 1, Requirement: 0.6}},
+				ExpectedBidders: 1,
+				Alpha:           10,
+				Epsilon:         0.5,
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Listen(addr); err != nil {
+				t.Skipf("reserved address was taken: %v", err)
+			}
+			done := make(chan error, 1)
+			go func() {
+				ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+				defer cancel()
+				done <- e.Serve(ctx)
+			}()
 
-	select {
-	case err := <-resCh:
-		if err != nil {
-			t.Fatalf("agent did not converge: %v", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("agent did not finish")
-	}
-	if err := <-done; err != nil {
-		t.Fatalf("engine: %v", err)
+			select {
+			case err := <-resCh:
+				if err != nil {
+					t.Fatalf("agent did not converge: %v", err)
+				}
+			case <-time.After(30 * time.Second):
+				t.Fatal("agent did not finish")
+			}
+			if err := <-done; err != nil {
+				t.Fatalf("engine: %v", err)
+			}
+		})
 	}
 }

@@ -32,51 +32,59 @@ func rejectShardMoved(t *testing.T, ln net.Listener, n int, done chan<- struct{}
 }
 
 // TestRunShardMovedTyped: a shard-moved rejection surfaces as ErrShardMoved
-// (and still as ErrPeer underneath) so RunWithBackoff can retry it.
+// (and still as ErrPeer underneath) so the retry loop can retry it.
 func TestRunShardMovedTyped(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	done := make(chan struct{})
-	rejectShardMoved(t, ln, 1, done)
+	for _, c := range clients {
+		t.Run(c.name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			done := make(chan struct{})
+			rejectShardMoved(t, ln, 1, done)
 
-	_, err = Run(context.Background(), lostSessionConfig(ln.Addr().String()))
-	if !errors.Is(err, ErrShardMoved) {
-		t.Fatalf("error = %v, want ErrShardMoved", err)
+			_, err = c.once(context.Background(), lostSessionConfig(ln.Addr().String()))
+			if !errors.Is(err, ErrShardMoved) {
+				t.Fatalf("error = %v, want ErrShardMoved", err)
+			}
+			if !errors.Is(err, wire.ErrPeer) {
+				t.Errorf("error = %v, should still wrap ErrPeer", err)
+			}
+			<-done
+		})
 	}
-	if !errors.Is(err, wire.ErrPeer) {
-		t.Errorf("error = %v, should still wrap ErrPeer", err)
-	}
-	<-done
 }
 
 // TestRunOtherPeerErrorNotShardMoved: an ordinary rejection must not be
 // promoted to a retryable shard move.
 func TestRunOtherPeerErrorNotShardMoved(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		codec := wire.NewCodec(conn)
-		_, _ = codec.Read()
-		codec.WriteError("unknown campaign \"nope\"")
-		conn.Close()
-	}()
+	for _, c := range clients {
+		t.Run(c.name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			go func() {
+				conn, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				codec := wire.NewCodec(conn)
+				_, _ = codec.Read()
+				codec.WriteError("unknown campaign \"nope\"")
+				conn.Close()
+			}()
 
-	_, err = Run(context.Background(), lostSessionConfig(ln.Addr().String()))
-	if errors.Is(err, ErrShardMoved) {
-		t.Fatalf("plain rejection misclassified as shard moved: %v", err)
-	}
-	if !errors.Is(err, wire.ErrPeer) {
-		t.Fatalf("error = %v, want ErrPeer", err)
+			_, err = c.once(context.Background(), lostSessionConfig(ln.Addr().String()))
+			if errors.Is(err, ErrShardMoved) {
+				t.Fatalf("plain rejection misclassified as shard moved: %v", err)
+			}
+			if !errors.Is(err, wire.ErrPeer) {
+				t.Fatalf("error = %v, want ErrPeer", err)
+			}
+		})
 	}
 }
 
@@ -85,23 +93,27 @@ func TestRunOtherPeerErrorNotShardMoved(t *testing.T) {
 // restart from Base each time. With Base = 250 ms and 4 retries, reset
 // delays total ≤ 1 s; compounding would need ≥ 1.875 s.
 func TestRunWithBackoffShardMovedResetsDelay(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	done := make(chan struct{})
-	rejectShardMoved(t, ln, 5, done)
+	for _, c := range clients {
+		t.Run(c.name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			done := make(chan struct{})
+			rejectShardMoved(t, ln, 5, done)
 
-	start := time.Now()
-	_, err = RunWithBackoff(context.Background(), lostSessionConfig(ln.Addr().String()),
-		Backoff{Attempts: 5, Base: 250 * time.Millisecond, Max: 8 * time.Second})
-	elapsed := time.Since(start)
-	if !errors.Is(err, ErrShardMoved) {
-		t.Fatalf("error = %v, want ErrShardMoved after exhaustion", err)
+			start := time.Now()
+			_, err = c.retry(context.Background(), lostSessionConfig(ln.Addr().String()),
+				Backoff{Attempts: 5, Base: 250 * time.Millisecond, Max: 8 * time.Second})
+			elapsed := time.Since(start)
+			if !errors.Is(err, ErrShardMoved) {
+				t.Fatalf("error = %v, want ErrShardMoved after exhaustion", err)
+			}
+			if elapsed >= 1500*time.Millisecond {
+				t.Errorf("5 attempts took %v: delays compounded instead of resetting on shard-moved", elapsed)
+			}
+			<-done
+		})
 	}
-	if elapsed >= 1500*time.Millisecond {
-		t.Errorf("5 attempts took %v: delays compounded instead of resetting on shard-moved", elapsed)
-	}
-	<-done
 }

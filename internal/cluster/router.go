@@ -200,7 +200,7 @@ func readReplyFrame(br *bufio.Reader, binarySession bool) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		if peek[0] != '{' {
+		if !wire.IsJSONLine(peek[0]) {
 			return wire.ReadRawBinaryFrame(br)
 		}
 	}
@@ -214,7 +214,7 @@ func readReplyFrame(br *bufio.Reader, binarySession bool) ([]byte, error) {
 // isErrorReply reports whether a relay-ready reply is a type:"error"
 // envelope, in either framing.
 func isErrorReply(reply []byte, binarySession bool) bool {
-	if binarySession && len(reply) > 0 && reply[0] != '{' {
+	if binarySession && len(reply) > 0 && !wire.IsJSONLine(reply[0]) {
 		env, err := wire.DecodeBinaryFrame(reply)
 		return err == nil && env.Type == wire.TypeError
 	}
@@ -225,7 +225,7 @@ func isErrorReply(reply []byte, binarySession bool) bool {
 // nil for legacy backends (or undecodable replies — the relay itself does not
 // care what the bytes say).
 func replyTrace(reply []byte, binarySession bool) *wire.TraceContext {
-	if binarySession && len(reply) > 0 && reply[0] != '{' {
+	if binarySession && len(reply) > 0 && !wire.IsJSONLine(reply[0]) {
 		env, err := wire.DecodeBinaryFrame(reply)
 		if err != nil {
 			return nil

@@ -1,14 +1,20 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"net"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"crowdsense/internal/agent"
 	"crowdsense/internal/auction"
 	"crowdsense/internal/engine"
+	"crowdsense/internal/wire"
 )
 
 // runClusterAgentBinary is runClusterAgent over the binary codec.
@@ -123,5 +129,101 @@ func TestRouterBinaryClientShardMoved(t *testing.T) {
 	})
 	if !errors.Is(err, agent.ErrShardMoved) {
 		t.Fatalf("binary agent error = %v, want ErrShardMoved", err)
+	}
+}
+
+// bracePayload pads an envelope's campaign until its binary payload is 123
+// bytes, the length whose canonical uvarint prefix is '{'.
+func bracePayload(t *testing.T, mk func(campaign string) *wire.Envelope) *wire.Envelope {
+	t.Helper()
+	for n := 1; n < 200; n++ {
+		env := mk(strings.Repeat("c", n))
+		var buf bytes.Buffer
+		c := wire.NewBinaryCodec(&buf)
+		if err := c.Write(env); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if size, _ := binary.Uvarint(buf.Bytes()[1:]); size == '{' {
+			return env
+		}
+	}
+	t.Fatal("no campaign length gives a 123-byte payload")
+	return nil
+}
+
+// TestRouterRelays123BytePayloadFrames: binary frames with a 123-byte payload
+// cross the router intact in both directions — the client's first frame to
+// the backend and the backend's first reply back to the client.
+func TestRouterRelays123BytePayloadFrames(t *testing.T) {
+	register := bracePayload(t, func(c string) *wire.Envelope {
+		return &wire.Envelope{Type: wire.TypeRegister, Campaign: c, Register: &wire.Register{User: 1}}
+	})
+	tasks := bracePayload(t, func(c string) *wire.Envelope {
+		return &wire.Envelope{Type: wire.TypeTasks, Campaign: c,
+			Tasks: &wire.Tasks{Tasks: []wire.TaskSpec{{ID: 1, Requirement: 0.5}}}}
+	})
+
+	backend, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer backend.Close()
+	received := make(chan *wire.Envelope, 1)
+	go func() {
+		conn, err := backend.Accept()
+		if err != nil {
+			received <- nil
+			return
+		}
+		defer conn.Close()
+		_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
+		codec, err := wire.NewServerCodec(conn)
+		if err != nil {
+			received <- nil
+			return
+		}
+		env, err := codec.Read()
+		if err != nil {
+			t.Errorf("backend read: %v", err)
+		}
+		received <- env
+		if err := codec.Write(tasks); err == nil {
+			_ = codec.Flush()
+		}
+		_, _ = codec.Read() // hold the session until the client hangs up
+	}()
+
+	router, err := StartRouter("127.0.0.1:0", RouterConfig{
+		Ring:    NewRing([]string{"s1"}, 0),
+		Members: map[string][]string{"s1": {backend.Addr().String()}},
+		Logf:    t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer router.Close()
+
+	conn, err := net.Dial("tcp", router.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
+	client := wire.NewBinaryCodec(conn)
+	if err := client.Write(register); err != nil {
+		t.Fatal(err)
+	}
+	reply, err := client.Expect(wire.TypeTasks)
+	if err != nil {
+		t.Fatalf("client read through router: %v", err)
+	}
+	if !reflect.DeepEqual(reply, tasks) {
+		t.Errorf("relayed reply:\n got %+v\nwant %+v", reply, tasks)
+	}
+	if got := <-received; !reflect.DeepEqual(got, register) {
+		t.Errorf("relayed first frame:\n got %+v\nwant %+v", got, register)
 	}
 }

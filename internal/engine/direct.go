@@ -10,18 +10,23 @@ import (
 	"crowdsense/internal/wire"
 )
 
-// This file is the in-process fan-in path: SubmitBids drives the same
-// admitter, compute pool, and settlement machinery as a TCP session, with no
-// codec or connection in between. cmd/crowdsim's swarm mode uses it to push
-// million-agent bid storms through the engine on one machine.
+// This file is the engine's one admission and settlement path. Every bid
+// enters a round through admit and leaves it through settle, whether it came
+// from a TCP session (handle, which only adds a codec) or from an in-process
+// caller of SubmitBids — cmd/crowdsim's swarm mode pushes million-agent bid
+// storms through the engine this way, with no codec or connection in between.
 
 // ErrNotServing is returned by SubmitBids before Serve/ServeLocal has
 // started the admitter.
 var ErrNotServing = errors.New("engine: not serving; call Serve or ServeLocal first")
 
-// DirectBatch is one in-process bid batch's handle on its round: the per-bid
-// admission verdicts immediately, the outcome after Await, and Settle to
-// complete every admitted session.
+// errQueueFull rejects a TCP session's bids when the ingest queue has no free
+// slot.
+var errQueueFull = errors.New("engine overloaded: bid queue full")
+
+// DirectBatch is one bid batch's handle on its round: the per-bid admission
+// verdicts immediately, the outcome after Await, and Settle to complete every
+// admitted bid.
 type DirectBatch struct {
 	camp *campaign
 	rd   *round
@@ -39,9 +44,9 @@ type DirectBatch struct {
 // the caller IS the load generator, so slowing it down is the backpressure.
 func (e *Engine) SubmitBids(ctx context.Context, campaignID string, bids []auction.Bid) (*DirectBatch, error) {
 	e.mu.Lock()
-	ingest := e.ingest
+	serving := e.ingest != nil
 	e.mu.Unlock()
-	if ingest == nil {
+	if !serving {
 		return nil, ErrNotServing
 	}
 	camp := e.lookup(campaignID)
@@ -49,26 +54,45 @@ func (e *Engine) SubmitBids(ctx context.Context, campaignID string, bids []aucti
 		return nil, fmt.Errorf("engine: unknown campaign %q", campaignID)
 	}
 	e.recordBidBatch(len(bids))
-	req := ingestReq{camp: camp, bids: bids, reply: make(chan admitReply, 1)}
+	return e.admit(ctx, camp, bids, true)
+}
+
+// admit is the one sender on the ingest queue: it hands the bids to the
+// admitter as one request (one engine-lock acquisition), waits for the
+// per-bid verdicts and records them. When the queue is full, a blocking
+// caller waits for a slot while any other caller's bids are all rejected
+// with errQueueFull.
+func (e *Engine) admit(ctx context.Context, camp *campaign, bids []auction.Bid, block bool) (*DirectBatch, error) {
+	d := &DirectBatch{camp: camp, bids: bids}
+	req := ingestReq{batch: d, done: make(chan struct{}, 1)}
 	select {
-	case ingest <- req:
+	case e.ingest <- req:
+	default:
+		if !block {
+			for i := range bids {
+				e.recordBidRejected(camp, bids[i].User, errQueueFull.Error())
+			}
+			return nil, errQueueFull
+		}
+		select {
+		case e.ingest <- req:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+	select {
+	case <-req.done:
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
-	var rep admitReply
-	select {
-	case rep = <-req.reply:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	for i, verdict := range rep.verdicts {
+	for i, verdict := range d.Verdicts {
 		if verdict != nil {
 			e.recordBidRejected(camp, bids[i].User, verdict.Error())
 			continue
 		}
-		e.recordBidAccepted(camp, rep.rd, bids[i].User)
+		e.recordBidAccepted(camp, d.rd, bids[i].User)
 	}
-	return &DirectBatch{camp: camp, rd: rep.rd, bids: bids, Verdicts: rep.verdicts}, nil
+	return d, nil
 }
 
 // Admitted reports how many of the batch's bids were admitted.
@@ -106,40 +130,86 @@ func (d *DirectBatch) Outcome() *mechanism.Outcome {
 	return d.rd.outcome
 }
 
-// Settle completes every admitted session of the batch, the in-process
+// awardFor returns an admitted user's award; a loser, and every bid of a
+// failed round, has none.
+func (d *DirectBatch) awardFor(user auction.UserID) (mechanism.Award, bool) {
+	if d.rd.err != nil || d.rd.outcome == nil {
+		return mechanism.Award{}, false
+	}
+	return d.rd.outcome.AwardFor(d.rd.order[user])
+}
+
+// awards lists the batch's awards in submission order — a winner's EC
+// contract, a loser's empty award, a rejected bid's verdict inline — and
+// counts the winners. Valid only after Await returned nil.
+func (d *DirectBatch) awards() ([]wire.UserAward, int) {
+	awards := make([]wire.UserAward, len(d.bids))
+	winners := 0
+	for i, bid := range d.bids {
+		awards[i].User = int(bid.User)
+		if verdict := d.Verdicts[i]; verdict != nil {
+			awards[i].Error = "bid rejected: " + verdict.Error()
+		} else if award, won := d.awardFor(bid.User); won {
+			awards[i].Award = wire.Award{
+				Selected:        true,
+				CriticalPoS:     award.CriticalPoS,
+				RewardOnSuccess: award.RewardOnSuccess,
+				RewardOnFailure: award.RewardOnFailure,
+			}
+			winners++
+		}
+	}
+	return awards, winners
+}
+
+// Settle completes every admitted bid of the batch, the in-process
 // equivalent of the award → report → settle exchange. For each admitted
 // winner, report is called with the bid and its award and returns whether
-// execution succeeded (paper step 5); the resulting settlement is recorded.
-// Losers — and every admitted bid on a failed round — are completed without
-// one. Call exactly once, after Await; the returned settlements are keyed by
-// user.
+// execution succeeded (paper step 5); every winner counts as having reported,
+// and its settlement is recorded. Losers — and every admitted bid on a failed
+// round — are completed without one. Call exactly once, after Await; the
+// returned settlements are keyed by user.
 func (d *DirectBatch) Settle(report func(bid auction.Bid, award mechanism.Award) bool) map[auction.UserID]wire.Settle {
 	if d.rd == nil {
 		return nil
 	}
-	settled := make(map[auction.UserID]wire.Settle)
-	for i := range d.bids {
+	settles := d.settle(func(bid auction.Bid, award mechanism.Award) (bool, bool) {
+		return report != nil && report(bid, award), true
+	})
+	settled := make(map[auction.UserID]wire.Settle, len(settles))
+	for _, us := range settles {
+		settled[auction.UserID(us.User)] = us.Settle
+	}
+	return settled
+}
+
+// settle is the one caller of sessionDone: it completes every admitted bid of
+// the batch exactly once, in submission order. A winner for which report
+// returns reported is settled with its EC reward (the success reward if its
+// execution succeeded, the failure reward otherwise). A winner that did not
+// report, a loser, and every bid of a failed round complete with nil. A nil
+// report settles no winner. The returned settlements follow submission order.
+func (d *DirectBatch) settle(report func(bid auction.Bid, award mechanism.Award) (success, reported bool)) []wire.UserSettle {
+	if d.rd == nil {
+		return nil
+	}
+	var settles []wire.UserSettle
+	for i, bid := range d.bids {
 		if d.Verdicts[i] != nil {
 			continue
 		}
-		user := d.bids[i].User
-		if d.rd.err != nil || d.rd.outcome == nil {
-			d.camp.sessionDone(d.rd, user, nil)
-			continue
+		var settled *wire.Settle
+		if award, won := d.awardFor(bid.User); won && report != nil {
+			if success, reported := report(bid, award); reported {
+				reward := award.RewardOnFailure
+				if success {
+					reward = award.RewardOnSuccess
+				}
+				settled = &wire.Settle{Success: success, Reward: reward, Utility: reward - bid.Cost}
+				settles = append(settles, wire.UserSettle{User: int(bid.User), Settle: *settled})
+			}
 		}
-		award, won := d.rd.outcome.AwardFor(d.rd.order[user])
-		if !won {
-			d.camp.sessionDone(d.rd, user, nil)
-			continue
-		}
-		reward := award.RewardOnFailure
-		success := report != nil && report(d.bids[i], award)
-		if success {
-			reward = award.RewardOnSuccess
-		}
-		settle := wire.Settle{Success: success, Reward: reward, Utility: reward - d.bids[i].Cost}
-		d.camp.sessionDone(d.rd, user, &settle)
-		settled[user] = settle
+		d.camp.sessionDone(d.rd, bid.User, settled)
 	}
-	return settled
+	return settles
 }

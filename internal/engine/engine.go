@@ -161,19 +161,13 @@ func (c Config) connTimeout() time.Duration {
 	return c.ConnTimeout
 }
 
-// ingestReq asks the admitter to record a batch of bids into a campaign's
-// current round under one lock acquisition; the per-bid verdicts come back
-// on reply (buffered, never blocks the admitter). Single-bid sessions send
-// a one-element batch.
+// ingestReq asks the admitter to record a batch of bids into its campaign's
+// current round under one lock acquisition. The admitter fills in the
+// batch's round and verdicts, then signals done (buffered, never blocks the
+// admitter). Single-bid sessions send a one-element batch.
 type ingestReq struct {
-	camp  *campaign
-	bids  []auction.Bid
-	reply chan admitReply
-}
-
-type admitReply struct {
-	rd       *round  // round the admitted bids joined; nil if none were
-	verdicts []error // per bid, aligned with ingestReq.bids; nil is admitted
+	batch *DirectBatch
+	done  chan struct{}
 }
 
 // computeJob hands one full round to the winner-determination pool.
@@ -356,7 +350,7 @@ func (e *Engine) run(ctx context.Context, accept bool) error {
 	}
 
 	// The admitter serializes bid ingestion: FIFO admission with the queue
-	// as the buffer, backpressure at the session (see handle).
+	// as the buffer, backpressure at the caller (see admit).
 	e.wg.Add(1)
 	go func() {
 		defer e.wg.Done()
@@ -420,10 +414,11 @@ func (e *Engine) admitLoop(ctx context.Context) {
 		case <-ctx.Done():
 			return
 		case req := <-e.ingest:
+			b := req.batch
 			e.mu.Lock()
-			rd, verdicts := req.camp.admitBatchLocked(req.bids)
+			b.rd, b.Verdicts = b.camp.admitBatchLocked(b.bids)
 			e.mu.Unlock()
-			req.reply <- admitReply{rd: rd, verdicts: verdicts}
+			req.done <- struct{}{}
 		}
 	}
 }
@@ -439,10 +434,16 @@ func (e *Engine) computeLoop(ctx context.Context) {
 	}
 }
 
-// handle serves one agent session: negotiate the codec from the first byte
-// (binary version byte or legacy JSON '{'), register (resolving the
-// campaign), publish tasks, ingest the bid — or bid batch — through the
-// queue, await the round outcome, then award/report/settle.
+// handle serves one agent session as a codec adapter over admit and settle.
+// It negotiates the codec from the first byte (binary version byte or legacy
+// JSON '{'), registers the session (resolving the campaign), publishes the
+// tasks, and reads the sealed bid — a `bid`, or a `bid_batch` from an
+// aggregator; a single bid is a batch of one. It admits the batch, awaits
+// the round, writes the awards in the session's framing, reads the winners'
+// reports and settles. Every sessionDone call (inside settle) happens before
+// the session's terminal envelope is written, so a client that has read its
+// last message finds its round settled and, if rounds remain, the next one
+// open.
 func (e *Engine) handle(ctx context.Context, conn net.Conn) {
 	defer conn.Close()
 	// Honour engine shutdown by closing the connection under the session.
@@ -499,273 +500,161 @@ func (e *Engine) handle(ctx context.Context, conn net.Conn) {
 			env.Campaign, campID))
 		return
 	}
-	if env.Type == wire.TypeBidBatch {
-		e.handleBatch(ctx, codec, camp, env.BidBatch, setDeadline)
-		return
-	}
-	if env.Type != wire.TypeBid {
-		codec.WriteError(fmt.Sprintf("expected bid, got %q", env.Type))
-		return
-	}
-	bid, err := bidFromWire(env.Bid)
+	bids, err := sessionBids(env, user)
 	if err != nil {
 		codec.WriteError(err.Error())
 		return
 	}
-	if bid.User != user {
-		codec.WriteError("bid user mismatches registration")
-		return
+	batched := env.Type == wire.TypeBidBatch
+	rpcBid, rpcReport := &e.metrics.rpcBid, &e.metrics.rpcReport
+	if batched {
+		rpcBid, rpcReport = &e.metrics.rpcBidBatch, &e.metrics.rpcReportBatch
+		e.recordBidBatch(len(bids))
 	}
 
-	// Ingest through the bounded queue; a full queue is backpressure, not a
-	// wait.
 	rpcStart = time.Now()
-	req := ingestReq{camp: camp, bids: []auction.Bid{bid}, reply: make(chan admitReply, 1)}
-	select {
-	case e.ingest <- req:
-	case <-ctx.Done():
-		return
-	default:
-		e.recordBidRejected(camp, user, "engine overloaded: bid queue full")
-		codec.WriteError("engine overloaded: bid queue full")
-		return
-	}
-	var rep admitReply
-	select {
-	case rep = <-req.reply:
-	case <-ctx.Done():
-		return
-	}
-	e.recordRPC(&e.metrics.rpcBid, rpcStart)
-	if admitErr := rep.verdicts[0]; admitErr != nil {
-		e.recordBidRejected(camp, user, admitErr.Error())
-		codec.WriteError(fmt.Sprintf("bid rejected: %v", admitErr))
-		return
-	}
-	e.recordBidAccepted(camp, rep.rd, user)
-	rd := rep.rd
-
-	// Await the round outcome.
-	select {
-	case <-ctx.Done():
-		return
-	case <-rd.computed:
-	}
-	if rd.err != nil {
-		codec.WriteError(fmt.Sprintf("auction failed: %v", rd.err))
-		camp.sessionDone(rd, user, nil)
-		return
-	}
-
-	roundTrace := func() *wire.TraceContext { return wireTrace(rd.span.Context()) }
-	award, won := rd.outcome.AwardFor(rd.order[user])
-	setDeadline()
-	if !won {
-		// Terminal write for this session: flush it past the write buffer.
-		if codec.Write(&wire.Envelope{Type: wire.TypeAward, Campaign: campID,
-			Trace: roundTrace(),
-			Award: &wire.Award{Selected: false}}) == nil {
-			_ = codec.Flush()
-		}
-		camp.sessionDone(rd, user, nil)
-		return
-	}
-	if err := codec.Write(&wire.Envelope{Type: wire.TypeAward, Campaign: campID,
-		Trace: roundTrace(),
-		Award: &wire.Award{
-			Selected:        true,
-			CriticalPoS:     award.CriticalPoS,
-			RewardOnSuccess: award.RewardOnSuccess,
-			RewardOnFailure: award.RewardOnFailure,
-		}}); err != nil {
-		camp.sessionDone(rd, user, nil)
-		return
-	}
-
-	// Collect the execution report and settle.
-	setDeadline()
-	env, err = codec.Expect(wire.TypeReport)
+	d, err := e.admit(ctx, camp, bids, false)
 	if err != nil {
-		camp.sessionDone(rd, user, nil)
+		if errors.Is(err, errQueueFull) {
+			codec.WriteError(err.Error())
+		}
 		return
 	}
-	rpcStart = time.Now()
-	success := false
-	for _, ok := range env.Report.Succeeded {
-		if ok {
-			success = true
-			break
-		}
+	e.recordRPC(rpcBid, rpcStart)
+	if !batched && d.Verdicts[0] != nil {
+		codec.WriteError(fmt.Sprintf("bid rejected: %v", d.Verdicts[0]))
+		return
 	}
-	reward := award.RewardOnFailure
-	if success {
-		reward = award.RewardOnSuccess
-	}
-	settle := wire.Settle{Success: success, Reward: reward, Utility: reward - bid.Cost}
-	setDeadline()
-	if codec.Write(&wire.Envelope{Type: wire.TypeSettle, Campaign: campID,
-		Trace: roundTrace(), Settle: &settle}) == nil {
-		_ = codec.Flush()
-	}
-	e.recordRPC(&e.metrics.rpcReport, rpcStart)
-	camp.sessionDone(rd, user, &settle)
-}
 
-// handleBatch serves an aggregator session carrying many agents' bids in one
-// frame: admit the whole batch through one queue slot (one engine-lock
-// acquisition), answer with per-user awards in submission order, collect the
-// winners' reports in one batch, and settle them in one batch. The
-// registered user is the aggregator itself; each bid names its own agent.
-func (e *Engine) handleBatch(ctx context.Context, codec *wire.Codec, camp *campaign,
-	batch *wire.BidBatch, setDeadline func()) {
-	campID := camp.cfg.ID
-	bids := make([]auction.Bid, len(batch.Bids))
-	for i := range batch.Bids {
-		var err error
-		if bids[i], err = bidFromWire(&batch.Bids[i]); err != nil {
-			codec.WriteError(fmt.Sprintf("bid %d: %v", i, err))
+	// From settlement on, engine shutdown must not cut the session off: the
+	// settlement that closes the last campaign also ends Serve, and the
+	// session still owes its client the terminal write, which the connection
+	// deadline bounds.
+	settle := func(report func(auction.Bid, mechanism.Award) (bool, bool)) []wire.UserSettle {
+		stop()
+		return d.settle(report)
+	}
+
+	// Await the round outcome. A batch with nothing admitted has no round:
+	// its award_batch carries only the inline verdicts.
+	if err := d.Await(ctx); err != nil {
+		if ctx.Err() != nil {
 			return
 		}
-	}
-	e.recordBidBatch(len(bids))
-
-	rpcStart := time.Now()
-	req := ingestReq{camp: camp, bids: bids, reply: make(chan admitReply, 1)}
-	select {
-	case e.ingest <- req:
-	case <-ctx.Done():
-		return
-	default:
-		for i := range bids {
-			e.recordBidRejected(camp, bids[i].User, "engine overloaded: bid queue full")
-		}
-		codec.WriteError("engine overloaded: bid queue full")
+		settle(nil)
+		codec.WriteError(fmt.Sprintf("auction failed: %v", err))
 		return
 	}
-	var rep admitReply
-	select {
-	case rep = <-req.reply:
-	case <-ctx.Done():
-		return
+	awards, winners := d.awards()
+	awardEnv := &wire.Envelope{Type: wire.TypeAwardBatch, Campaign: campID,
+		AwardBatch: &wire.AwardBatch{Awards: awards}}
+	if !batched {
+		awardEnv = &wire.Envelope{Type: wire.TypeAward, Campaign: campID, Award: &awards[0].Award}
 	}
-	e.recordRPC(&e.metrics.rpcBidBatch, rpcStart)
-	admitted := make([]auction.UserID, 0, len(bids))
-	for i, verdict := range rep.verdicts {
-		if verdict != nil {
-			e.recordBidRejected(camp, bids[i].User, verdict.Error())
-			continue
-		}
-		e.recordBidAccepted(camp, rep.rd, bids[i].User)
-		admitted = append(admitted, bids[i].User)
-	}
-	rd := rep.rd
-	if rd == nil {
-		// Nothing was admitted; report the verdicts so the aggregator can
-		// tell its agents apart, and end the session.
-		awards := make([]wire.UserAward, len(bids))
-		for i := range bids {
-			awards[i] = wire.UserAward{User: int(bids[i].User),
-				Error: "bid rejected: " + rep.verdicts[i].Error()}
+	// send writes and flushes an envelope of the round, stamping the round's
+	// trace context at send time.
+	send := func(env *wire.Envelope) error {
+		if d.rd != nil {
+			env.Trace = wireTrace(d.rd.span.Context())
 		}
 		setDeadline()
-		if codec.Write(&wire.Envelope{Type: wire.TypeAwardBatch, Campaign: campID,
-			AwardBatch: &wire.AwardBatch{Awards: awards}}) == nil {
-			_ = codec.Flush()
+		if err := codec.Write(env); err != nil {
+			return err
 		}
+		return codec.Flush()
+	}
+	if winners == 0 {
+		settle(nil) // no reports owed: the awards are the terminal write
+		_ = send(awardEnv)
+		return
+	}
+	if send(awardEnv) != nil {
+		settle(nil)
 		return
 	}
 
-	// Await the round outcome.
-	select {
-	case <-ctx.Done():
-		return
-	case <-rd.computed:
-	}
-	// Every admitted user owes the round a terminal action; sessionDone is
-	// idempotent, so completing already-settled users again is a no-op.
-	defer func() {
-		for _, u := range admitted {
-			camp.sessionDone(rd, u, nil)
-		}
-	}()
-	if rd.err != nil {
-		codec.WriteError(fmt.Sprintf("auction failed: %v", rd.err))
-		return
-	}
-
-	roundTrace := func() *wire.TraceContext { return wireTrace(rd.span.Context()) }
-	// Awards in submission order; admission errors ride along inline.
-	awards := make([]wire.UserAward, len(bids))
-	winners := make(map[auction.UserID]mechanism.Award, len(admitted))
-	costs := make(map[auction.UserID]float64, len(admitted))
-	for i := range bids {
-		user := bids[i].User
-		ua := wire.UserAward{User: int(user)}
-		if verdict := rep.verdicts[i]; verdict != nil {
-			ua.Error = "bid rejected: " + verdict.Error()
-		} else if award, won := rd.outcome.AwardFor(rd.order[user]); won {
-			ua.Award = wire.Award{
-				Selected:        true,
-				CriticalPoS:     award.CriticalPoS,
-				RewardOnSuccess: award.RewardOnSuccess,
-				RewardOnFailure: award.RewardOnFailure,
-			}
-			winners[user] = award
-			costs[user] = bids[i].Cost
-		}
-		awards[i] = ua
-	}
+	// Collect the winners' execution reports and settle.
 	setDeadline()
-	if codec.Write(&wire.Envelope{Type: wire.TypeAwardBatch, Campaign: campID,
-		Trace:      roundTrace(),
-		AwardBatch: &wire.AwardBatch{Awards: awards}}) != nil {
-		return
-	}
-	if codec.Flush() != nil {
-		return
-	}
-	if len(winners) == 0 {
-		return // no reports owed; the deferred cleanup completes the losers
-	}
-
-	// Winners' execution reports, one frame; losers do not report.
-	setDeadline()
-	env, err := codec.Expect(wire.TypeReportBatch)
+	reports, err := readReports(codec, bids, batched)
 	if err != nil {
+		settle(nil)
 		return
 	}
 	rpcStart = time.Now()
-	settles := make([]wire.UserSettle, 0, len(winners))
-	for i := range env.ReportBatch.Reports {
-		report := &env.ReportBatch.Reports[i]
-		user := auction.UserID(report.User)
-		award, ok := winners[user]
-		if !ok {
-			continue // not a winner (or a duplicate report): nothing owed
+	settles := settle(func(bid auction.Bid, _ mechanism.Award) (bool, bool) {
+		success, reported := reports[bid.User]
+		return success, reported
+	})
+	settleEnv := &wire.Envelope{Type: wire.TypeSettleBatch, Campaign: campID,
+		SettleBatch: &wire.SettleBatch{Settles: settles}}
+	if !batched {
+		settleEnv = &wire.Envelope{Type: wire.TypeSettle, Campaign: campID, Settle: &settles[0].Settle}
+	}
+	_ = send(settleEnv)
+	e.recordRPC(rpcReport, rpcStart)
+}
+
+// sessionBids converts a session's bid frame into the batch it admits: a
+// `bid` is a batch of one and must name the registered user; a `bid_batch`
+// carries an aggregator's agents, each bid naming its own.
+func sessionBids(env *wire.Envelope, user auction.UserID) ([]auction.Bid, error) {
+	switch env.Type {
+	case wire.TypeBid:
+		bid, err := bidFromWire(env.Bid)
+		if err != nil {
+			return nil, err
 		}
-		delete(winners, user)
-		success := false
-		for _, ok := range report.Succeeded {
-			if ok {
-				success = true
-				break
+		if bid.User != user {
+			return nil, errors.New("bid user mismatches registration")
+		}
+		return []auction.Bid{bid}, nil
+	case wire.TypeBidBatch:
+		bids := make([]auction.Bid, len(env.BidBatch.Bids))
+		for i := range env.BidBatch.Bids {
+			var err error
+			if bids[i], err = bidFromWire(&env.BidBatch.Bids[i]); err != nil {
+				return nil, fmt.Errorf("bid %d: %v", i, err)
 			}
 		}
-		reward := award.RewardOnFailure
-		if success {
-			reward = award.RewardOnSuccess
+		return bids, nil
+	}
+	return nil, fmt.Errorf("expected bid, got %q", env.Type)
+}
+
+// readReports reads the winners' execution reports in the session's framing
+// — one `report` for a per-bid session, which settles the session's own bid,
+// or one `report_batch` — and maps each reporting user to whether any of its
+// tasks succeeded. The first report for a user counts; reports from users
+// that did not win are ignored by settle.
+func readReports(codec *wire.Codec, bids []auction.Bid, batched bool) (map[auction.UserID]bool, error) {
+	if !batched {
+		env, err := codec.Expect(wire.TypeReport)
+		if err != nil {
+			return nil, err
 		}
-		settle := wire.Settle{Success: success, Reward: reward, Utility: reward - costs[user]}
-		settles = append(settles, wire.UserSettle{User: int(user), Settle: settle})
-		camp.sessionDone(rd, user, &settle)
+		return map[auction.UserID]bool{bids[0].User: anySucceeded(env.Report.Succeeded)}, nil
 	}
-	setDeadline()
-	if codec.Write(&wire.Envelope{Type: wire.TypeSettleBatch, Campaign: campID,
-		Trace:       roundTrace(),
-		SettleBatch: &wire.SettleBatch{Settles: settles}}) == nil {
-		_ = codec.Flush()
+	env, err := codec.Expect(wire.TypeReportBatch)
+	if err != nil {
+		return nil, err
 	}
-	e.recordRPC(&e.metrics.rpcReportBatch, rpcStart)
+	reports := make(map[auction.UserID]bool, len(env.ReportBatch.Reports))
+	for i := range env.ReportBatch.Reports {
+		r := &env.ReportBatch.Reports[i]
+		if _, dup := reports[auction.UserID(r.User)]; !dup {
+			reports[auction.UserID(r.User)] = anySucceeded(r.Succeeded)
+		}
+	}
+	return reports, nil
+}
+
+func anySucceeded(succeeded map[int]bool) bool {
+	for _, ok := range succeeded {
+		if ok {
+			return true
+		}
+	}
+	return false
 }
 
 // wireTrace converts a span's trace context for the wire, stamping the send

@@ -92,7 +92,7 @@ func (c *Codec) writeBinary(env *Envelope) error {
 		return ErrMessageTooLarge
 	}
 	var head [binary.MaxVarintLen64 + 4]byte
-	n := binary.PutUvarint(head[:], uint64(len(payload)))
+	n := putFrameLength(head[:], len(payload))
 	binary.LittleEndian.PutUint32(head[n:], crc32.ChecksumIEEE(payload))
 	if _, err := c.w.Write(head[:n+4]); err != nil {
 		return fmt.Errorf("wire: write %s: %w", env.Type, err)
@@ -143,22 +143,42 @@ func (c *Codec) readBinary() (*Envelope, error) {
 	return env, nil
 }
 
+// putFrameLength encodes a frame's payload length into b as a uvarint and
+// returns the number of bytes written. Only a length of 123 would begin the
+// frame with '{', which a binary reader takes for a JSON line (see
+// IsJSONLine); that length is written as the non-minimal two-byte uvarint
+// 0xFB 0x00, which every uvarint reader decodes to 123. Every other length is
+// the canonical uvarint.
+func putFrameLength(b []byte, size int) int {
+	if size == '{' {
+		b[0], b[1] = '{'|0x80, 0
+		return 2
+	}
+	return binary.PutUvarint(b, uint64(size))
+}
+
+// IsJSONLine reports whether a message on a binary session whose first byte
+// is first is a JSON line rather than a binary frame: a JSON-only peer's or
+// the cluster router's error envelope. Binary writers never begin a frame
+// with '{' (see putFrameLength), so the first byte decides.
+func IsJSONLine(first byte) bool { return first == '{' }
+
 // ReadRawBinaryFrame reads one complete binary frame (length prefix, CRC,
 // payload) and returns its raw bytes, for relays that forward frames
-// without re-encoding (the cluster router). The returned slice is freshly
-// allocated.
+// without re-encoding (the cluster router). The length prefix is kept as
+// read, so a relayed frame is byte-identical to the one received. The
+// returned slice is freshly allocated.
 func ReadRawBinaryFrame(r *bufio.Reader) ([]byte, error) {
-	size, err := binary.ReadUvarint(r)
+	head := prefixReader{r: r}
+	size, err := binary.ReadUvarint(&head)
 	if err != nil {
 		return nil, err
 	}
 	if size > MaxBinaryMessageBytes {
 		return nil, ErrMessageTooLarge
 	}
-	var head [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(head[:], size)
-	frame := make([]byte, n+int(size)+4)
-	copy(frame, head[:n])
+	frame := make([]byte, len(head.read)+int(size)+4)
+	n := copy(frame, head.read)
 	if _, err := io.ReadFull(r, frame[n:]); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
@@ -166,6 +186,20 @@ func ReadRawBinaryFrame(r *bufio.Reader) ([]byte, error) {
 		return nil, err
 	}
 	return frame, nil
+}
+
+// prefixReader records the bytes of a frame's length prefix as they are read.
+type prefixReader struct {
+	r    *bufio.Reader
+	read []byte
+}
+
+func (p *prefixReader) ReadByte() (byte, error) {
+	c, err := p.r.ReadByte()
+	if err == nil {
+		p.read = append(p.read, c)
+	}
+	return c, err
 }
 
 // DecodeBinaryFrame decodes one complete raw frame (as returned by

@@ -312,3 +312,64 @@ func TestBinaryTruncatedPayload(t *testing.T) {
 		}
 	}
 }
+
+// bracePayloadEnvelope pads a tasks envelope's campaign until its binary
+// payload is exactly 123 bytes: the one frame length whose canonical uvarint
+// prefix is '{', the byte a binary reader takes for a JSON line.
+func bracePayloadEnvelope(tb testing.TB) *Envelope {
+	for n := 0; n < 200; n++ {
+		env := &Envelope{Type: TypeTasks, Campaign: strings.Repeat("c", n),
+			Tasks: &Tasks{Tasks: []TaskSpec{{ID: 1, Requirement: 0.5}}}}
+		payload, err := appendEnvelope(nil, env)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if len(payload) == '{' {
+			return env
+		}
+	}
+	tb.Fatal("no campaign length gives a 123-byte payload")
+	return nil
+}
+
+// TestBinaryFrame123BytePayload: a frame whose payload is 123 bytes must
+// not begin with '{', must decode through the codec, and must survive the
+// raw relay path byte for byte.
+func TestBinaryFrame123BytePayload(t *testing.T) {
+	env := bracePayloadEnvelope(t)
+	var buf bytes.Buffer
+	client := NewBinaryCodec(&buf)
+	if err := client.Write(env); err != nil {
+		t.Fatal(err)
+	}
+	if err := client.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	wireBytes := append([]byte(nil), buf.Bytes()...)
+	if IsJSONLine(wireBytes[1]) {
+		t.Fatalf("frame starts with %#x, which reads as a JSON line", wireBytes[1])
+	}
+
+	server, err := NewServerCodec(bytes.NewBuffer(wireBytes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := server.Expect(TypeTasks)
+	if err != nil {
+		t.Fatalf("codec read: %v", err)
+	}
+	if !reflect.DeepEqual(got, env) {
+		t.Errorf("codec round trip:\n got %+v\nwant %+v", got, env)
+	}
+
+	frame, err := ReadRawBinaryFrame(newTestBufioReader(bytes.NewReader(wireBytes[1:])))
+	if err != nil {
+		t.Fatalf("raw read: %v", err)
+	}
+	if !bytes.Equal(frame, wireBytes[1:]) {
+		t.Errorf("raw frame re-encoded:\n got %x\nwant %x", frame, wireBytes[1:])
+	}
+	if got, err := DecodeBinaryFrame(frame); err != nil || !reflect.DeepEqual(got, env) {
+		t.Errorf("raw decode = %+v, %v", got, err)
+	}
+}

@@ -57,7 +57,8 @@ func FuzzCodecRead(f *testing.F) {
 // accepts must re-encode to the exact same bytes (the byte-stability
 // invariant the differential tests rely on).
 func FuzzBinaryCodecRead(f *testing.F) {
-	for _, env := range testEnvelopes() {
+	// The 123-byte payload's length prefix is the non-minimal 0xFB 0x00.
+	for _, env := range append(testEnvelopes(), bracePayloadEnvelope(f)) {
 		var buf bytes.Buffer
 		c := NewBinaryCodec(&buf)
 		if err := c.Write(env); err != nil {

@@ -341,15 +341,15 @@ func (c *Codec) Flush() error {
 // cleanly closed stream.
 //
 // A binary codec that receives a '{' where a frame should start parses the
-// message as a JSON line instead: that is a JSON-only peer answering a
-// binary opening — typically with an error envelope — and surfacing it
-// beats failing with a framing error.
+// message as a JSON line instead (see IsJSONLine): that is a JSON-only peer
+// answering a binary opening — typically with an error envelope — and
+// surfacing it beats failing with a framing error.
 func (c *Codec) Read() (*Envelope, error) {
 	if err := c.Flush(); err != nil {
 		return nil, err
 	}
 	if c.binary {
-		if first, err := c.r.Peek(1); err == nil && first[0] == '{' {
+		if first, err := c.r.Peek(1); err == nil && IsJSONLine(first[0]) {
 			return c.readJSON()
 		}
 		return c.readBinary()

@@ -60,3 +60,9 @@ SWARM_AGENTS=100000 SWARM_CAMPAIGNS=100 SWARM_ROUNDS=1 \
 # priced out — learned reliability discounts her declared PoS below the
 # requirement and her win share collapses while truthful users keep winning.
 go test -race -run TestReputationSmoke ./cmd/crowdsim
+# Session-ordering gate: a session completes its bids before it writes its
+# terminal envelope, so a returned client finds its round settled and the
+# next one open — the ordering test 20× under race, then the obsctl tests
+# that raced while sessions answered before settling.
+go test -race -count=20 -run TestSessionSettlesBeforeTerminalWrite ./internal/engine
+go test -count=5 -run 'TestRoundTrip|TestSummaryAndTail|TestSLOCommand' ./cmd/obsctl
