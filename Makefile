@@ -1,6 +1,6 @@
-# Developer entry points. `make check` is the pre-PR gate: vet, build, the
-# full test suite, race-enabled tests of every concurrency-bearing package,
-# and a seed-corpus pass of the wire fuzzers.
+# Developer entry points. `make check` is the pre-PR gate; it runs
+# scripts/check.sh, the one list of gates (gofmt, vet, build, the full test
+# suite, race-enabled tests, fuzz seed corpora, and the smoke targets below).
 
 GO ?= go
 
@@ -47,20 +47,7 @@ bench-json:
 	sh scripts/bench_json.sh
 
 check:
-	$(GO) vet ./...
-	$(GO) build ./...
-	$(GO) test ./...
-	$(GO) test -race $(RACE_PKGS)
-	$(MAKE) fuzz-seed
-	$(MAKE) obsctl-roundtrip
-	$(GO) test -run '^$$' -bench BenchmarkSpanOverhead -benchtime 3x ./internal/engine
-	$(MAKE) recovery-smoke
-	$(MAKE) audit-smoke
-	$(MAKE) cluster-smoke
-	$(MAKE) swarm-smoke
-	$(MAKE) trace-smoke
-	$(MAKE) reputation-smoke
-	$(MAKE) session-order
+	sh scripts/check.sh
 
 # Crash-recovery differential plus a store-overhead benchmark smoke: kill a
 # WAL-backed engine mid-round, reopen the log, finish the campaign, and

@@ -1,6 +1,10 @@
 // Command platformd runs the crowdsensing platform server: it publishes
 // tasks, collects sealed bids from agentd processes, runs the fault-tolerant
-// mechanism, and settles execution-contingent rewards.
+// mechanism, and settles execution-contingent rewards. Outside cluster mode
+// every run is one engine serving its campaigns on one port: a single
+// campaign named "default" unless -campaigns asks for c1..cN. Agents that
+// name no campaign land in the first one. The engine's metrics snapshot is
+// printed at exit.
 //
 // Example (single task, three bidders, one round):
 //
@@ -10,8 +14,7 @@
 //
 //	platformd -tasks 5 -bidders 10 -window 30s
 //
-// Example (engine mode: eight concurrent campaigns c1..c8 on one port, two
-// rounds each, engine metrics printed at exit):
+// Example (eight concurrent campaigns c1..c8 on one port, two rounds each):
 //
 //	platformd -campaigns 8 -tasks 2 -bidders 5 -rounds 2 -window 30s
 //
@@ -52,13 +55,13 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
 	"os"
 	"os/signal"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -76,51 +79,57 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		slog.Error("platformd failed", "err", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run parses the command line and serves until every campaign finishes, a
+// round fails for a reason other than infeasibility, or a signal arrives.
+func run(args []string) error {
+	fs := flag.NewFlagSet("platformd", flag.ExitOnError)
 	var (
-		addr        = flag.String("addr", "127.0.0.1:7373", "listen address")
-		tasks       = flag.Int("tasks", 1, "number of tasks to publish (IDs 1..n)")
-		requirement = flag.Float64("requirement", 0.8, "PoS requirement per task")
-		bidders     = flag.Int("bidders", 3, "bids to collect before running the auction")
-		alpha       = flag.Float64("alpha", mechanism.DefaultAlpha, "reward scaling factor")
-		epsilon     = flag.Float64("epsilon", 0.5, "FPTAS parameter (single task)")
-		window      = flag.Duration("window", 0, "bid window after the first bid (0 = wait for all)")
-		rounds      = flag.Int("rounds", 1, "auction rounds to serve before exiting")
-		campaigns   = flag.Int("campaigns", 0, "serve this many concurrent campaigns (c1..cN) on one port (0 = legacy single-campaign mode)")
-		workers     = flag.Int("workers", 0, "winner-determination worker pool size (0 = auto; -campaigns mode)")
-		journal     = flag.String("journal", "", "append one JSON line per round to this file")
-		spanJournal = flag.String("span-journal", "", "record lifecycle spans (campaign/round/phase/solver) to this JSONL file, rotated by size")
-		nodeFlag    = flag.String("node", "", "node identity stamped into span records and cross-process trace context, so obsctl stitch can merge this journal with other nodes' (default: shard@addr in cluster node mode, \"router\" for the router, else \"platform\")")
-		stateDir    = flag.String("state-dir", "", "durable state directory: campaign events are written to a WAL there, and on restart the log is replayed to resume campaigns at the last durable round boundary (empty = in-memory only)")
-		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /healthz, /readyz, /debug/rounds, /debug/spans, /debug/audit, and pprof on this address (empty = off)")
-		auditFlag   = flag.Bool("audit", false, "run the live mechanism auditor: every settled round is checked against the paper's economic invariants (IR, budget, α reward gap, settlement arithmetic); violations degrade /readyz and surface on /debug/audit")
-		sloP99      = flag.String("slo-p99", "", "comma-separated span=duration p99 latency targets for the live auditor, e.g. round=250ms,phase.computing=50ms (a bare duration targets the round span); implies -audit")
-		repFlag     = flag.Bool("reputation", false, "close the learning loop: learn per-user reliability from execution outcomes, discount declared PoS at winner determination (payments stay on the declared contract), checkpoint the learned state into the WAL, and surface it on /metrics and /debug/reputation")
-		repPrior    = flag.Float64("reputation-prior", 0, "reputation prior pseudo-strength pulling unknown users toward reliability 1 (0 = default)")
-		logLevel    = flag.String("log-level", "info", "log level: debug, info, warn, error")
-		version     = flag.Bool("version", false, "print version and exit")
+		addr        = fs.String("addr", "127.0.0.1:7373", "listen address")
+		tasks       = fs.Int("tasks", 1, "number of tasks to publish (IDs 1..n)")
+		requirement = fs.Float64("requirement", 0.8, "PoS requirement per task")
+		bidders     = fs.Int("bidders", 3, "bids to collect before running the auction")
+		alpha       = fs.Float64("alpha", mechanism.DefaultAlpha, "reward scaling factor")
+		epsilon     = fs.Float64("epsilon", 0.5, "FPTAS parameter (single task)")
+		window      = fs.Duration("window", 0, "bid window after the first bid (0 = wait for all)")
+		rounds      = fs.Int("rounds", 1, "auction rounds to serve before exiting")
+		campaigns   = fs.Int("campaigns", 0, "serve this many concurrent campaigns (c1..cN) on one port (0 = one campaign named default)")
+		workers     = fs.Int("workers", 0, "winner-determination worker pool size (0 = auto)")
+		journal     = fs.String("journal", "", "append one JSON line per round to this file")
+		spanJournal = fs.String("span-journal", "", "record lifecycle spans (campaign/round/phase/solver) to this JSONL file, rotated by size")
+		nodeFlag    = fs.String("node", "", "node identity stamped into span records and cross-process trace context, so obsctl stitch can merge this journal with other nodes' (default: shard@addr in cluster node mode, \"router\" for the router, else \"platform\")")
+		stateDir    = fs.String("state-dir", "", "durable state directory: campaign events are written to a WAL there, and on restart the log is replayed to resume campaigns at the last durable round boundary (empty = in-memory only)")
+		metricsAddr = fs.String("metrics-addr", "", "serve /metrics, /healthz, /readyz, /debug/rounds, /debug/spans, /debug/audit, and pprof on this address (empty = off)")
+		auditFlag   = fs.Bool("audit", false, "run the live mechanism auditor: every settled round is checked against the paper's economic invariants (IR, budget, α reward gap, settlement arithmetic); violations degrade /readyz and surface on /debug/audit")
+		sloP99      = fs.String("slo-p99", "", "comma-separated span=duration p99 latency targets for the live auditor, e.g. round=250ms,phase.computing=50ms (a bare duration targets the round span); implies -audit")
+		repFlag     = fs.Bool("reputation", false, "close the learning loop: learn per-user reliability from execution outcomes, discount declared PoS at winner determination (payments stay on the declared contract), checkpoint the learned state into the WAL, and surface it on /metrics and /debug/reputation")
+		repPrior    = fs.Float64("reputation-prior", 0, "reputation prior pseudo-strength pulling unknown users toward reliability 1 (0 = default)")
+		logLevel    = fs.String("log-level", "info", "log level: debug, info, warn, error")
+		version     = fs.Bool("version", false, "print version and exit")
 
 		// Cluster mode: shard the campaign universe across several platformd
 		// processes behind one router. See runCluster.
-		clusterArg = flag.String("cluster", "", "comma-separated shard names forming the cluster ring (enables cluster mode; identical on every member)")
-		shard      = flag.String("shard", "", "shard this node leads (cluster mode; empty with -peers runs the shard router)")
-		peers      = flag.String("peers", "", "router member map shard=addr[|standby],... — leader address first, standbys answer only after promotion")
-		repAddr    = flag.String("rep-addr", "", "replication listen address for this shard's followers (cluster node mode; empty = no followers)")
-		follow     = flag.String("follow", "", "stand by for another shard: shard@leaderRepAddr (cluster node mode)")
-		followDir  = flag.String("follow-dir", "", "replica WAL directory for -follow")
-		followAddr = flag.String("follow-addr", "", "standby agent address for -follow, bound only at promotion")
+		clusterArg = fs.String("cluster", "", "comma-separated shard names forming the cluster ring (enables cluster mode; identical on every member)")
+		shard      = fs.String("shard", "", "shard this node leads (cluster mode; empty with -peers runs the shard router)")
+		peers      = fs.String("peers", "", "router member map shard=addr[|standby],... — leader address first, standbys answer only after promotion")
+		repAddr    = fs.String("rep-addr", "", "replication listen address for this shard's followers (cluster node mode; empty = no followers)")
+		follow     = fs.String("follow", "", "stand by for another shard: shard@leaderRepAddr (cluster node mode)")
+		followDir  = fs.String("follow-dir", "", "replica WAL directory for -follow")
+		followAddr = fs.String("follow-addr", "", "standby agent address for -follow, bound only at promotion")
 	)
-	flag.Parse()
+	fs.Parse(args)
 
 	if *version {
 		fmt.Println("platformd " + buildinfo.String())
 		return nil
+	}
+	if *rounds < 1 {
+		return fmt.Errorf("-rounds %d must be positive", *rounds)
 	}
 
 	sloCfg, err := parseSLOTargets(*sloP99)
@@ -274,11 +283,9 @@ func run() error {
 			"dropped_segments", r.Info.DroppedSegments)
 		eventStore = r.WAL
 	}
-	// In durable or engine mode the journal is derived from the event
-	// stream (one encoder, no drift); legacy single-campaign mode keeps the
-	// OnRound path below.
-	journalViaStore := journalFile != nil && (*stateDir != "" || *campaigns > 0)
-	if journalViaStore {
+	// The round journal is derived from the same event stream (one encoder,
+	// no drift).
+	if journalFile != nil {
 		var seed *store.State
 		if rec != nil {
 			seed = rec.State
@@ -307,72 +314,24 @@ func run() error {
 		}
 	}
 
-	if *campaigns > 0 || rec.HasCampaigns() && len(rec.State.Order) > 1 {
-		return runEngine(ctx, engineOptions{
-			addr:            *addr,
-			node:            nodeName,
-			tasks:           specs,
-			bidders:         *bidders,
-			window:          *window,
-			rounds:          *rounds,
-			campaigns:       *campaigns,
-			workers:         *workers,
-			alpha:           *alpha,
-			epsilon:         *epsilon,
-			journal:         journalFile,
-			spanSinks:       spanSinks,
-			store:           eventStore,
-			recovered:       rec,
-			ops:             ops,
-			journalViaStore: journalViaStore,
-			aud:             aud,
-			rep:             rep,
-		})
-	}
-
-	cfg := platform.Config{
-		Tasks:           specs,
-		ExpectedBidders: *bidders,
-		BidWindow:       *window,
-		Alpha:           *alpha,
-		Epsilon:         *epsilon,
-	}
-	start := time.Now()
-	opts := platform.RoundsOptions{
-		Addr:      *addr,
-		Rounds:    *rounds,
-		SpanSinks: spanSinks,
-		Store:     eventStore,
-		OnReady: func(bound string) {
-			slog.Info("listening", "addr", bound, "tasks", *tasks,
-				"requirement", *requirement, "bidders", *bidders)
-		},
-		OnEngine: func(eng *engine.Engine) {
-			ops.setEngine(eng)
-			if aud != nil {
-				aud.SetSpans(eng.SpanTracer())
-			}
-		},
-		OnRound: func(round int, result platform.RoundResult) {
-			logRound("", round, result, time.Since(start))
-			if journalFile != nil && !journalViaStore {
-				entry := platform.NewJournalEntry(round, specs, result)
-				if err := platform.WriteJournal(journalFile, entry); err != nil {
-					slog.Error("round journal write", "round", round, "err", err)
-				}
-			}
-		},
-	}
-	if aud != nil {
-		opts.AuditStatus = aud.Status
-	}
-	opts.Reputation = rep
-	if rec.HasCampaigns() {
-		opts.Restore = rec.State
-		slog.Info("resuming recovered campaign; -tasks/-bidders/-rounds flags ignored")
-	}
-	_, err = platform.RunRounds(ctx, cfg, opts)
-	return err
+	return runEngine(ctx, engineOptions{
+		addr:      *addr,
+		node:      nodeName,
+		tasks:     specs,
+		bidders:   *bidders,
+		window:    *window,
+		rounds:    *rounds,
+		campaigns: *campaigns,
+		workers:   *workers,
+		alpha:     *alpha,
+		epsilon:   *epsilon,
+		spanSinks: spanSinks,
+		store:     eventStore,
+		recovered: rec,
+		ops:       ops,
+		aud:       aud,
+		rep:       rep,
+	})
 }
 
 // parseSLOTargets decodes the -slo-p99 flag: comma-separated span=duration
@@ -410,24 +369,22 @@ func parseSLOTargets(s string) (*audit.SLOConfig, error) {
 }
 
 type engineOptions struct {
-	addr            string
-	node            string
-	tasks           []auction.Task
-	bidders         int
-	window          time.Duration
-	rounds          int
-	campaigns       int
-	workers         int
-	alpha           float64
-	epsilon         float64
-	journal         *os.File
-	spanSinks       []span.Sink
-	store           store.Store
-	recovered       *platform.Recovered
-	ops             *opsState
-	journalViaStore bool
-	aud             *audit.Auditor
-	rep             *reputation.Store
+	addr      string
+	node      string
+	tasks     []auction.Task
+	bidders   int
+	window    time.Duration
+	rounds    int
+	campaigns int // 0 registers one campaign named "default"
+	workers   int
+	alpha     float64
+	epsilon   float64
+	spanSinks []span.Sink
+	store     store.Store
+	recovered *platform.Recovered
+	ops       *opsState
+	aud       *audit.Auditor
+	rep       *reputation.Store
 }
 
 // opsState is the swap point between "recovering" and "serving" for the ops
@@ -533,40 +490,26 @@ func serveOps(addr string, ops *opsState) (*obs.OpsServer, error) {
 	return srv, nil
 }
 
-// runEngine serves N concurrent campaigns on one listener and prints the
-// engine's metrics snapshot on exit.
+// errRoundFailed marks a round that failed for a reason other than
+// infeasibility. Such a round stops the platform: an infeasible round is
+// void and the campaign goes on, anything else means winner determination
+// itself broke.
+var errRoundFailed = errors.New("round failed")
+
+// runEngine is platformd's one non-cluster serving path: it registers the
+// campaigns (or resumes the recovered ones), serves them on one listener
+// until they finish, and prints the engine's metrics snapshot on exit.
 func runEngine(ctx context.Context, opts engineOptions) error {
 	start := time.Now()
-	var journalMu sync.Mutex
-	journalSeq := 0
+	ctx, abort := context.WithCancelCause(ctx)
+	defer abort(nil)
 	ecfg := engine.Config{
 		Workers:    opts.workers,
 		NodeID:     opts.node,
 		SpanSinks:  opts.spanSinks,
 		Store:      opts.store,
 		Reputation: opts.rep,
-		OnRound: func(r engine.RoundResult) {
-			logRound(r.Campaign, r.Round, platform.RoundResult{
-				Outcome:     r.Outcome,
-				Bids:        r.Bids,
-				Settlements: r.Settlements,
-				Err:         r.Err,
-			}, time.Since(start))
-			if opts.journal != nil && !opts.journalViaStore {
-				journalMu.Lock()
-				defer journalMu.Unlock()
-				journalSeq++
-				entry := platform.NewJournalEntry(journalSeq, opts.tasks, platform.RoundResult{
-					Outcome:     r.Outcome,
-					Bids:        r.Bids,
-					Settlements: r.Settlements,
-					Err:         r.Err,
-				})
-				if err := platform.WriteJournal(opts.journal, entry); err != nil {
-					slog.Error("round journal write", "campaign", r.Campaign, "round", r.Round, "err", err)
-				}
-			}
-		},
+		OnRound:    onRound(start, abort),
 	}
 	if opts.aud != nil {
 		ecfg.AuditStatus = opts.aud.Status
@@ -583,9 +526,9 @@ func runEngine(ctx context.Context, opts engineOptions) error {
 		slog.Info("resuming recovered campaigns; campaign flags ignored",
 			"campaigns", len(opts.recovered.State.Order))
 	} else {
-		for i := 0; i < opts.campaigns; i++ {
+		for _, id := range campaignIDs(opts.campaigns) {
 			err := eng.AddCampaign(engine.CampaignConfig{
-				ID:              fmt.Sprintf("c%d", i+1),
+				ID:              id,
 				Tasks:           opts.tasks,
 				ExpectedBidders: opts.bidders,
 				BidWindow:       opts.window,
@@ -601,9 +544,12 @@ func runEngine(ctx context.Context, opts engineOptions) error {
 	if err := eng.Listen(opts.addr); err != nil {
 		return err
 	}
-	slog.Info("engine listening", "addr", eng.Addr().String(),
-		"campaigns", len(eng.Results()), "rounds", opts.rounds, "tasks", len(opts.tasks),
-		"requirement", opts.tasks[0].Requirement, "bidders", opts.bidders)
+	listening := []any{"addr", eng.Addr().String(), "campaigns", len(eng.Results()),
+		"rounds", opts.rounds, "tasks", len(opts.tasks)}
+	if len(opts.tasks) > 0 { // -tasks 0 is legal when resuming recovered campaigns
+		listening = append(listening, "requirement", opts.tasks[0].Requirement)
+	}
+	slog.Info("engine listening", append(listening, "bidders", opts.bidders)...)
 	if opts.ops != nil {
 		opts.ops.setEngine(eng)
 	}
@@ -611,17 +557,40 @@ func runEngine(ctx context.Context, opts engineOptions) error {
 	err := eng.Serve(ctx)
 	fmt.Printf("\nengine metrics after %s:\n%s\n",
 		time.Since(start).Round(time.Millisecond), eng.Snapshot())
+	if cause := context.Cause(ctx); errors.Is(cause, errRoundFailed) {
+		return cause
+	}
 	return err
 }
 
-// logRound summarizes one completed auction round; campaign is empty in
-// single-campaign mode.
-func logRound(campaign string, round int, result platform.RoundResult, elapsed time.Duration) {
-	log := slog.Default()
-	if campaign != "" {
-		log = log.With("campaign", campaign)
+// onRound logs each settled round and aborts serving, with errRoundFailed as
+// the cause, on a round that failed for a reason other than infeasibility.
+func onRound(start time.Time, abort context.CancelCauseFunc) func(engine.RoundResult) {
+	return func(r engine.RoundResult) {
+		logRound(r, time.Since(start))
+		if r.Err != nil && !errors.Is(r.Err, mechanism.ErrInfeasible) {
+			abort(fmt.Errorf("%w: campaign %s round %d: %w", errRoundFailed, r.Campaign, r.Round, r.Err))
+		}
 	}
-	log = log.With("round", round)
+}
+
+// campaignIDs names the campaigns a fresh start registers: c1..cN, or one
+// campaign named "default" when n is 0 — the ID single-campaign state
+// directories carry, so their WALs restore unchanged.
+func campaignIDs(n int) []string {
+	if n <= 0 {
+		return []string{"default"}
+	}
+	ids := make([]string, n)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("c%d", i+1)
+	}
+	return ids
+}
+
+// logRound summarizes one completed auction round.
+func logRound(result engine.RoundResult, elapsed time.Duration) {
+	log := slog.With("campaign", result.Campaign, "round", result.Round)
 	if result.Err != nil {
 		log.Warn("round void", "elapsed", elapsed.Round(time.Millisecond), "err", result.Err)
 		return

@@ -14,7 +14,7 @@ import (
 
 	"crowdsense/internal/agent"
 	"crowdsense/internal/auction"
-	"crowdsense/internal/platform"
+	"crowdsense/internal/engine"
 	"crowdsense/internal/stats"
 )
 
@@ -25,36 +25,33 @@ func main() {
 		requirement = 0.7
 	)
 
-	// Start the platform.
+	// Start the platform: an engine serving one single-round campaign.
+	// Agents that name no campaign land in it.
 	tasks := make([]auction.Task, numTasks)
 	for i := range tasks {
 		tasks[i] = auction.Task{ID: auction.TaskID(i + 1), Requirement: requirement}
 	}
-	srv, err := platform.NewServer(platform.Config{
+	eng := engine.New(engine.Config{ConnTimeout: 10 * time.Second})
+	if err := eng.AddCampaign(engine.CampaignConfig{
+		ID:              "default",
 		Tasks:           tasks,
 		ExpectedBidders: numAgents,
 		Alpha:           10,
-		ConnTimeout:     10 * time.Second,
-	})
-	if err != nil {
+	}); err != nil {
 		log.Fatal(err)
 	}
-	if err := srv.Listen("127.0.0.1:0"); err != nil {
+	if err := eng.Listen("127.0.0.1:0"); err != nil {
 		log.Fatal(err)
 	}
-	addr := srv.Addr().String()
+	addr := eng.Addr().String()
 	fmt.Printf("platform listening on %s (%d tasks, requirement %.2f, %d agents)\n\n",
 		addr, numTasks, requirement, numAgents)
 
-	roundCh := make(chan platform.RoundResult, 1)
+	served := make(chan error, 1)
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 		defer cancel()
-		round, err := srv.Serve(ctx)
-		if err != nil {
-			log.Fatal(err)
-		}
-		roundCh <- round
+		served <- eng.Serve(ctx)
 	}()
 
 	// Launch the agent fleet; each agent has a random true type over the
@@ -91,7 +88,13 @@ func main() {
 	}
 	wg.Wait()
 
-	round := <-roundCh
+	if err := <-served; err != nil {
+		log.Fatal(err)
+	}
+	round := eng.Results()["default"][0]
+	if round.Err != nil {
+		log.Fatal(round.Err)
+	}
 	fmt.Printf("auction complete: %s\n", round.Outcome.Mechanism)
 	fmt.Printf("winners %d of %d bidders, social cost %.2f\n\n",
 		len(round.Outcome.Selected), len(round.Bids), round.Outcome.SocialCost)

@@ -23,7 +23,8 @@ type RouterConfig struct {
 	// order — the leader's address first, then standby addresses that only
 	// answer after a promotion.
 	Members map[string][]string
-	// DialTimeout bounds one backend dial. Zero means 2 s.
+	// DialTimeout bounds one backend dial and its first reply. Zero means
+	// 2 s.
 	DialTimeout time.Duration
 	// SpanSinks, when non-empty, receive one router.hop span per routed
 	// session (codec, shard, backend member). Each hop adopts the round's
@@ -287,12 +288,17 @@ func (r *Router) serve(client net.Conn) {
 			backend.Close()
 			continue
 		}
+		// A member that accepts but never answers must not pin the session:
+		// the engine answers register with tasks at once, so the first reply
+		// shares the dial's bound, and a silent member is skipped.
+		_ = backend.SetReadDeadline(time.Now().Add(r.cfg.dialTimeout()))
 		br := bufio.NewReaderSize(backend, 64<<10)
 		reply, err := readReplyFrame(br, sess.binary)
 		if err != nil {
 			backend.Close()
 			continue
 		}
+		_ = backend.SetReadDeadline(time.Time{}) // the spliced session keeps its own pace
 		if isErrorReply(reply, sess.binary) {
 			// The member answered but rejected — e.g. a stale member that no
 			// longer owns the campaign. Remember the rejection and try the

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"io"
 	"net"
 	"reflect"
 	"strings"
@@ -225,5 +226,72 @@ func TestRouterRelays123BytePayloadFrames(t *testing.T) {
 	}
 	if got := <-received; !reflect.DeepEqual(got, register) {
 		t.Errorf("relayed first frame:\n got %+v\nwant %+v", got, register)
+	}
+}
+
+// TestRouterSkipsSilentMember: a member that accepts the connection but
+// never sends its first reply must not pin the session. The router gives up
+// on it after DialTimeout and finishes the session through the next member,
+// long before the silent member would hang up on its own.
+func TestRouterSkipsSilentMember(t *testing.T) {
+	const silentHold = 20 * time.Second
+	silent, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	go func() {
+		for {
+			conn, err := silent.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				_ = conn.SetDeadline(time.Now().Add(silentHold))
+				_, _ = io.Copy(io.Discard, conn) // read everything, answer nothing
+			}()
+		}
+	}()
+
+	ring := NewRing([]string{"s1"}, 0)
+	camp := pickCampaign(t, ring, "s1")
+	cc := clusterCampaign(camp, 1)
+	cc.ExpectedBidders = 1
+	eng := engine.New(engine.Config{})
+	if err := eng.AddCampaign(cc); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	served := make(chan error, 1)
+	go func() { served <- eng.Serve(ctx) }()
+
+	router, err := StartRouter("127.0.0.1:0", RouterConfig{
+		Ring:        ring,
+		Members:     map[string][]string{"s1": {silent.Addr().String(), eng.Addr().String()}},
+		DialTimeout: 200 * time.Millisecond,
+		Logf:        t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer router.Close()
+
+	start := time.Now()
+	if err := runClusterAgent(router.Addr(), camp, 1, 2, 0.7, agent.Backoff{Attempts: 1}); err != nil {
+		t.Fatalf("session through the router: %v", err)
+	}
+	if elapsed := time.Since(start); elapsed > silentHold/4 {
+		t.Errorf("session took %v; the silent member pinned it", elapsed)
+	}
+	if err := <-served; err != nil {
+		t.Fatalf("engine: %v", err)
+	}
+	if routed, _, rerouted := router.Stats(); routed["s1"] != 1 || rerouted != 1 {
+		t.Errorf("routed %v, rerouted %d; want 1 session on s1, rerouted past the silent member", routed, rerouted)
 	}
 }

@@ -75,10 +75,6 @@ type Config struct {
 	// (round is 1-based). Initial rounds are reported when Serve starts.
 	OnRoundOpen func(campaign string, round int)
 
-	// TraceCapacity bounds the round-trace ring buffer (events, rounded up
-	// to a power of two). Zero means obs.DefaultTraceCapacity.
-	TraceCapacity int
-
 	// SpanSinks attaches additional sinks (typically a durable span.Journal)
 	// to the engine's lifecycle tracer. The in-memory ring behind
 	// /debug/spans is attached by default; sinks listed here receive the
@@ -210,7 +206,7 @@ func New(cfg Config) *Engine {
 		cfg:       cfg,
 		campaigns: make(map[string]*campaign),
 		allClosed: make(chan struct{}),
-		trace:     obs.NewTrace(cfg.TraceCapacity),
+		trace:     obs.NewTrace(obs.DefaultTraceCapacity),
 	}
 	if !cfg.DisableObservability {
 		sinks := cfg.SpanSinks

@@ -18,7 +18,7 @@ import (
 // with every agent on the given codec, staggering bid admission so the bid
 // order — and with it the journal — is deterministic. It returns the settled
 // rounds and the journal bytes.
-func runCodecRounds(t *testing.T, binary bool) ([]RoundResult, []byte) {
+func runCodecRounds(t *testing.T, binary bool) ([]engine.RoundResult, []byte) {
 	t.Helper()
 	var journal bytes.Buffer
 	js, err := NewJournalStore(&journal, nil)
@@ -26,35 +26,15 @@ func runCodecRounds(t *testing.T, binary bool) ([]RoundResult, []byte) {
 		t.Fatal(err)
 	}
 
-	var eng *engine.Engine
-	engReady := make(chan struct{})
-	addrCh := make(chan string, 4)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-
-	type outcome struct {
-		rounds []RoundResult
-		err    error
-	}
-	done := make(chan outcome, 1)
-	go func() {
-		rounds, err := RunRounds(ctx, singleTaskConfig(2), RoundsOptions{
-			Addr:   "127.0.0.1:0",
-			Rounds: 2,
-			Store:  js,
-			OnEngine: func(e *engine.Engine) {
-				eng = e
-				close(engReady)
-			},
-			OnReady: func(addr string) { addrCh <- addr },
-		})
-		done <- outcome{rounds, err}
-	}()
-	<-engReady
+	cfg := singleTaskConfig(2)
+	cfg.Rounds = 2
+	p := startPlatform(t, ctx, cfg, engine.Config{Store: js})
 
 	waitAdmitted := func(want uint64) {
 		t.Helper()
-		for start := time.Now(); eng.Snapshot().BidsAccepted < want; {
+		for start := time.Now(); p.eng.Snapshot().BidsAccepted < want; {
 			if time.Since(start) > 15*time.Second {
 				t.Fatalf("engine never admitted %d bids", want)
 			}
@@ -63,7 +43,7 @@ func runCodecRounds(t *testing.T, binary bool) ([]RoundResult, []byte) {
 	}
 
 	for round := 1; round <= 2; round++ {
-		addr := <-addrCh
+		addr := <-p.open
 		errs := make(chan error, 2)
 		for i := 0; i < 2; i++ {
 			user := auction.UserID(10*round + i + 1)
@@ -89,19 +69,16 @@ func runCodecRounds(t *testing.T, binary bool) ([]RoundResult, []byte) {
 		}
 	}
 
-	out := <-done
-	if out.err != nil {
-		t.Fatalf("RunRounds (binary=%v): %v", binary, out.err)
-	}
+	rounds := p.wait(t)
 	if err := js.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return out.rounds, journal.Bytes()
+	return rounds, journal.Bytes()
 }
 
 // normalizeCodecRounds renders rounds with solver work counters stripped —
 // they depend on process-global memo state, not on the auction.
-func normalizeCodecRounds(t *testing.T, rounds []RoundResult) string {
+func normalizeCodecRounds(t *testing.T, rounds []engine.RoundResult) string {
 	t.Helper()
 	type norm struct {
 		Outcome     *mechanism.Outcome

@@ -8,6 +8,7 @@ import (
 
 	"crowdsense/internal/agent"
 	"crowdsense/internal/auction"
+	"crowdsense/internal/engine"
 	"crowdsense/internal/wire"
 )
 
@@ -16,15 +17,16 @@ import (
 // execution report. The round must still complete: the vanished winner is
 // simply not settled.
 func TestWinnerDisconnectsBeforeReport(t *testing.T) {
-	cfg := Config{
+	cfg := engine.CampaignConfig{
 		Tasks:           []auction.Task{{ID: 1, Requirement: 0.5}},
 		ExpectedBidders: 2,
 		Alpha:           10,
 		Epsilon:         0.5,
-		ConnTimeout:     2 * time.Second, // short: the dead session must expire fast
 	}
-	srv, results, errs := startServer(t, cfg)
-	addr := srv.Addr().String()
+	p := startPlatform(t, context.Background(), cfg, engine.Config{
+		ConnTimeout: 2 * time.Second, // short: the dead session must expire fast
+	})
+	addr := p.addr
 
 	// The rude client: guaranteed to win (very high PoS, low cost).
 	rude := make(chan error, 1)
@@ -67,24 +69,18 @@ func TestWinnerDisconnectsBeforeReport(t *testing.T) {
 		polite <- err
 	}()
 
-	select {
-	case round := <-results:
-		if err := <-rude; err != nil {
-			t.Fatalf("rude client: %v", err)
-		}
-		if err := <-polite; err != nil {
-			t.Fatalf("polite agent: %v", err)
-		}
-		// The rude winner has an award but no settlement.
-		if _, settled := round.Settlements[1]; settled {
-			t.Error("vanished winner should not be settled")
-		}
-		if !round.Outcome.Winner(0) && !round.Outcome.Winner(1) {
-			t.Error("expected at least one winner")
-		}
-	case err := <-errs:
-		t.Fatalf("server: %v", err)
-	case <-time.After(30 * time.Second):
-		t.Fatal("round did not complete after winner disconnect")
+	round := p.wait(t)[0]
+	if err := <-rude; err != nil {
+		t.Fatalf("rude client: %v", err)
+	}
+	if err := <-polite; err != nil {
+		t.Fatalf("polite agent: %v", err)
+	}
+	// The rude winner has an award but no settlement.
+	if _, settled := round.Settlements[1]; settled {
+		t.Error("vanished winner should not be settled")
+	}
+	if !round.Outcome.Winner(0) && !round.Outcome.Winner(1) {
+		t.Error("expected at least one winner")
 	}
 }

@@ -70,8 +70,8 @@ func NewJournalEntry(round int, tasks []auction.Task, result RoundResult) Journa
 }
 
 // EntryFromRecord converts one reduced round record into its journal form —
-// the single encoding shared by the live OnRound path, event-stream
-// consumers (JournalStore), and the live auditor. Settlements are emitted in
+// the single encoding shared by NewJournalEntry, event-stream consumers
+// (JournalStore), and the live auditor. Settlements are emitted in
 // user order so entries are byte-stable across runs and replays.
 func EntryFromRecord(campaignID string, tasks []auction.Task, rec store.RoundRecord) JournalEntry {
 	entry := JournalEntry{Campaign: campaignID, Round: rec.Round}

@@ -10,9 +10,9 @@ import (
 
 // JournalStore derives the round journal from the engine's event stream: it
 // is a store.Store that folds every event through the shared reducer and
-// writes one JournalEntry line per settled round. This replaces the old
-// parallel encoding in OnRound callbacks — the journal and the durable state
-// are now two views of one stream and cannot drift apart.
+// writes one JournalEntry line per settled round. It is the only writer of
+// platformd's -journal file, so the journal and the durable state are two
+// views of one stream and cannot drift apart.
 type JournalStore struct {
 	mu    sync.Mutex
 	w     io.Writer

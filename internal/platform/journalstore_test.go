@@ -128,8 +128,8 @@ func TestJournalStoreSurvivesHandover(t *testing.T) {
 	}
 }
 
-// TestJournalStoreMatchesOnRoundPath: the event-stream journal and the
-// legacy OnRound NewJournalEntry path must produce identical lines for the
+// TestJournalStoreMatchesOnRoundPath: the event-stream journal and
+// NewJournalEntry over a round result must produce identical lines for the
 // same round (modulo the campaign tag, which only the stream knows).
 func TestJournalStoreMatchesOnRoundPath(t *testing.T) {
 	events := journalEvents("c")

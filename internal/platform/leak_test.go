@@ -9,6 +9,7 @@ import (
 
 	"crowdsense/internal/agent"
 	"crowdsense/internal/auction"
+	"crowdsense/internal/engine"
 )
 
 // crowdsenseGoroutines counts live goroutines parked in this module's code —
@@ -58,21 +59,9 @@ func TestServeCancelledWithArmedBidWindowDoesNotLeak(t *testing.T) {
 	cfg := singleTaskConfig(5) // never reached: the round stays collecting
 	cfg.Tasks[0].Requirement = 0.5
 	cfg.BidWindow = time.Hour // armed but far away; must be stopped on cancel
-	srv, err := NewServer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	addr := srv.Addr().String()
-
 	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, err := srv.Serve(ctx)
-		done <- err
-	}()
+	p := startPlatform(t, ctx, cfg, engine.Config{})
+	addr := p.addr
 
 	// One agent bids (arming the window timer) and then hangs waiting for
 	// an award that will never come.
@@ -88,7 +77,7 @@ func TestServeCancelledWithArmedBidWindowDoesNotLeak(t *testing.T) {
 
 	cancel()
 	select {
-	case err := <-done:
+	case err := <-p.done:
 		if err == nil {
 			t.Error("cancelled Serve should return an error")
 		}
@@ -107,8 +96,8 @@ func TestServeCompletedRoundDoesNotLeak(t *testing.T) {
 	cfg := singleTaskConfig(2)
 	cfg.Tasks[0].Requirement = 0.5
 	cfg.BidWindow = time.Hour // exercised: stopped when the auction starts
-	srv, results, errs := startServer(t, cfg)
-	addr := srv.Addr().String()
+	p := startPlatform(t, context.Background(), cfg, engine.Config{})
+	addr := p.addr
 
 	for id := auction.UserID(1); id <= 2; id++ {
 		go func(id auction.UserID) {
@@ -120,12 +109,6 @@ func TestServeCompletedRoundDoesNotLeak(t *testing.T) {
 			})
 		}(id)
 	}
-	select {
-	case <-results:
-	case err := <-errs:
-		t.Fatalf("server: %v", err)
-	case <-time.After(30 * time.Second):
-		t.Fatal("round did not complete")
-	}
+	p.wait(t)
 	assertNoLeakedGoroutines(t, baseline)
 }

@@ -1,173 +1,28 @@
-// Package platform implements the crowdsensing platform as a network
-// server: it publishes tasks to connecting agents, collects sealed bids,
-// runs the fault-tolerant auction mechanism, sends each agent her award
-// (with the execution-contingent reward contract), collects winners'
-// execution reports, and settles rewards — steps 2 through 6 of the
-// paper's Fig. 1, as an actual wire protocol.
+// Package platform holds the crowdsensing platform's durable records: the
+// round journal (one JSON line per settled round, with every bid, EC
+// contract and settlement of the paper's Fig. 1 steps 2–6), the offline
+// auditor that checks each line against the mechanism's invariants
+// (CheckRound, Audit), the JournalStore that derives the journal from the
+// engine's event stream, and Recover, which replays a state directory's WAL
+// for a restarting node.
 //
-// Session handling lives in internal/engine, which multiplexes many
-// concurrent campaigns over one listener; this package is the
-// single-campaign face of it. A Server runs one auction round: it waits
-// until the expected number of agents have bid (or the bid window closes),
-// computes the outcome, and settles every session. RunRounds serves a
-// recurring sequence of rounds on one engine.
+// The auction itself is served by internal/engine: platformd registers its
+// campaigns there (one named "default" unless -campaigns asks for more) and
+// writes the journal through a JournalStore on the engine's event stream.
 package platform
 
 import (
-	"context"
-	"errors"
-	"fmt"
-	"net"
-	"time"
-
 	"crowdsense/internal/auction"
-	"crowdsense/internal/engine"
 	"crowdsense/internal/mechanism"
 	"crowdsense/internal/wire"
 )
 
-// defaultCampaign names the single campaign a Server registers with its
-// engine; legacy agents never see it (the engine routes campaign-less
-// sessions to it as the default).
-const defaultCampaign = "default"
-
-// Config parameterizes a platform server.
-type Config struct {
-	Tasks []auction.Task // the tasks to publish; single task selects the single-task mechanism
-
-	// ExpectedBidders is how many bids to collect before running the
-	// auction.
-	ExpectedBidders int
-
-	// BidWindow bounds how long the platform waits for the expected
-	// bidders once the first agent registers; on expiry the auction runs
-	// with the bids at hand. Zero means wait indefinitely.
-	BidWindow time.Duration
-
-	// Alpha is the EC reward scale (default mechanism.DefaultAlpha).
-	Alpha float64
-	// Epsilon is the single-task FPTAS parameter (default knapsack's).
-	Epsilon float64
-
-	// ConnTimeout bounds per-message I/O with one agent. Zero means
-	// 30 seconds.
-	ConnTimeout time.Duration
-}
-
-func (c Config) connTimeout() time.Duration {
-	if c.ConnTimeout <= 0 {
-		return 30 * time.Second
-	}
-	return c.ConnTimeout
-}
-
-// validate rejects configurations the engine could not serve.
-func (c Config) validate() error {
-	if len(c.Tasks) == 0 {
-		return errors.New("platform: no tasks configured")
-	}
-	if c.ExpectedBidders < 1 {
-		return fmt.Errorf("platform: expected bidders %d must be positive", c.ExpectedBidders)
-	}
-	return nil
-}
-
-// campaign converts the single-round platform configuration into an engine
-// campaign.
-func (c Config) campaign(rounds int) engine.CampaignConfig {
-	return engine.CampaignConfig{
-		ID:              defaultCampaign,
-		Tasks:           c.Tasks,
-		ExpectedBidders: c.ExpectedBidders,
-		BidWindow:       c.BidWindow,
-		Rounds:          rounds,
-		Alpha:           c.Alpha,
-		Epsilon:         c.Epsilon,
-	}
-}
-
-// RoundResult summarizes a completed auction round. A round whose bidders
-// could not jointly meet the task requirements has a nil Outcome and a
-// non-nil Err (multi-round service keeps going; see RunRounds).
+// RoundResult is one completed auction round, as NewJournalEntry records
+// it. A round whose bidders could not jointly meet the task requirements
+// has a nil Outcome and a non-nil Err.
 type RoundResult struct {
 	Outcome     *mechanism.Outcome
 	Bids        []auction.Bid
 	Settlements map[auction.UserID]wire.Settle
 	Err         error
-}
-
-// fromEngine strips the campaign/round identity off an engine round result.
-func fromEngine(r engine.RoundResult) RoundResult {
-	return RoundResult{
-		Outcome:     r.Outcome,
-		Bids:        r.Bids,
-		Settlements: r.Settlements,
-		Err:         r.Err,
-	}
-}
-
-// newEngine assembles a single-campaign engine for cfg.
-func newEngine(cfg Config, rounds int, ecfg engine.Config) (*engine.Engine, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	ecfg.ConnTimeout = cfg.connTimeout()
-	eng := engine.New(ecfg)
-	if err := eng.AddCampaign(cfg.campaign(rounds)); err != nil {
-		return nil, fmt.Errorf("platform: %w", err)
-	}
-	return eng, nil
-}
-
-// Server is a one-round auction platform: a single-campaign view of the
-// multi-campaign engine.
-type Server struct {
-	eng *engine.Engine
-}
-
-// NewServer validates the configuration and creates a server. Call Serve to
-// start listening.
-func NewServer(cfg Config) (*Server, error) {
-	eng, err := newEngine(cfg, 1, engine.Config{})
-	if err != nil {
-		return nil, err
-	}
-	return &Server{eng: eng}, nil
-}
-
-// Listen binds the server to addr (e.g. "127.0.0.1:0").
-func (s *Server) Listen(addr string) error {
-	if err := s.eng.Listen(addr); err != nil {
-		return fmt.Errorf("platform: listen %s: %w", addr, err)
-	}
-	return nil
-}
-
-// Addr reports the bound address; Listen must have succeeded.
-func (s *Server) Addr() net.Addr {
-	return s.eng.Addr()
-}
-
-// Serve accepts agent connections until the round completes or the context
-// is cancelled, then returns the round result. Listen must be called first.
-// A round the bidders could not satisfy surfaces its mechanism error (for
-// example mechanism.ErrInfeasible) as Serve's error.
-func (s *Server) Serve(ctx context.Context) (RoundResult, error) {
-	if err := s.eng.Serve(ctx); err != nil {
-		return RoundResult{}, err
-	}
-	rounds := s.eng.Results()[defaultCampaign]
-	if len(rounds) == 0 {
-		return RoundResult{}, errors.New("platform: round did not complete")
-	}
-	result := fromEngine(rounds[0])
-	if result.Err != nil {
-		return RoundResult{}, result.Err
-	}
-	return result, nil
-}
-
-// Metrics exposes the underlying engine's observability snapshot.
-func (s *Server) Metrics() engine.Snapshot {
-	return s.eng.Snapshot()
 }

@@ -10,57 +10,86 @@ import (
 
 	"crowdsense/internal/agent"
 	"crowdsense/internal/auction"
+	"crowdsense/internal/engine"
 	"crowdsense/internal/wire"
 )
 
-func TestNewServerValidation(t *testing.T) {
-	if _, err := NewServer(Config{ExpectedBidders: 3}); err == nil {
-		t.Error("no tasks should fail")
-	}
-	if _, err := NewServer(Config{Tasks: []auction.Task{{ID: 1, Requirement: 0.5}}}); err == nil {
-		t.Error("zero bidders should fail")
-	}
+// testPlatform is one single-campaign platform under test: an engine serving
+// campaign "default" on a loopback port, the way platformd runs without
+// -campaigns. Every TCP test in this package drives the engine through it.
+type testPlatform struct {
+	eng  *engine.Engine
+	addr string
+	open chan string // the bound address, once per round as it opens; buffered for every round
+	done chan error  // Serve's result
 }
 
-// startServer launches a platform on a loopback port.
-func startServer(t *testing.T, cfg Config) (*Server, <-chan RoundResult, <-chan error) {
+// startPlatform registers cc as campaign "default" on a fresh engine, binds
+// it to a loopback port and serves it until the campaign's rounds finish,
+// ctx is cancelled, or a minute passes. A zero ecfg.ConnTimeout means 10 s.
+func startPlatform(t *testing.T, ctx context.Context, cc engine.CampaignConfig, ecfg engine.Config) *testPlatform {
 	t.Helper()
-	srv, err := NewServer(cfg)
-	if err != nil {
-		t.Fatal(err)
+	cc.ID = "default"
+	if ecfg.ConnTimeout == 0 {
+		ecfg.ConnTimeout = 10 * time.Second
 	}
-	if err := srv.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	results := make(chan RoundResult, 1)
-	errs := make(chan error, 1)
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-		defer cancel()
-		res, err := srv.Serve(ctx)
-		if err != nil {
-			errs <- err
-			return
+	p := &testPlatform{open: make(chan string, cc.Rounds+1), done: make(chan error, 1)}
+	ecfg.OnRoundOpen = func(string, int) {
+		select {
+		case p.open <- p.addr:
+		default:
 		}
-		results <- res
+	}
+	p.eng = engine.New(ecfg)
+	if err := p.eng.AddCampaign(cc); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.eng.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	p.addr = p.eng.Addr().String()
+	go func() {
+		ctx, cancel := context.WithTimeout(ctx, time.Minute)
+		defer cancel()
+		p.done <- p.eng.Serve(ctx)
 	}()
-	return srv, results, errs
+	return p
 }
 
-func singleTaskConfig(n int) Config {
-	return Config{
+// wait blocks until Serve returns and yields the campaign's settled rounds.
+// A Serve error or a failed round fails the test.
+func (p *testPlatform) wait(t *testing.T) []engine.RoundResult {
+	t.Helper()
+	select {
+	case err := <-p.done:
+		if err != nil {
+			t.Fatalf("server: %v", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("server timed out")
+	}
+	rounds := p.eng.Results()["default"]
+	for _, r := range rounds {
+		if r.Err != nil {
+			t.Fatalf("server: round %d: %v", r.Round, r.Err)
+		}
+	}
+	return rounds
+}
+
+func singleTaskConfig(n int) engine.CampaignConfig {
+	return engine.CampaignConfig{
 		Tasks:           []auction.Task{{ID: 1, Requirement: 0.9}},
 		ExpectedBidders: n,
 		Alpha:           10,
 		Epsilon:         0.5,
-		ConnTimeout:     10 * time.Second,
 	}
 }
 
 func TestSingleTaskRoundOverTCP(t *testing.T) {
 	// The paper's §III-A example: four users, requirement 0.9.
-	srv, results, errs := startServer(t, singleTaskConfig(4))
-	addr := srv.Addr().String()
+	p := startPlatform(t, context.Background(), singleTaskConfig(4), engine.Config{})
+	addr := p.addr
 
 	users := []struct {
 		id   auction.UserID
@@ -94,14 +123,7 @@ func TestSingleTaskRoundOverTCP(t *testing.T) {
 			t.Fatalf("agent %d: %v", i+1, err)
 		}
 	}
-	var round RoundResult
-	select {
-	case round = <-results:
-	case err := <-errs:
-		t.Fatalf("server: %v", err)
-	case <-time.After(30 * time.Second):
-		t.Fatal("server timed out")
-	}
+	round := p.wait(t)[0]
 
 	// The mechanism's selection covers the requirement at minimum cost
 	// (±ε); the known optimum is 5.
@@ -135,17 +157,16 @@ func TestSingleTaskRoundOverTCP(t *testing.T) {
 }
 
 func TestMultiTaskRoundOverTCP(t *testing.T) {
-	cfg := Config{
+	cfg := engine.CampaignConfig{
 		Tasks: []auction.Task{
 			{ID: 1, Requirement: 0.6},
 			{ID: 2, Requirement: 0.6},
 		},
 		ExpectedBidders: 3,
 		Alpha:           10,
-		ConnTimeout:     10 * time.Second,
 	}
-	srv, results, errs := startServer(t, cfg)
-	addr := srv.Addr().String()
+	p := startPlatform(t, context.Background(), cfg, engine.Config{})
+	addr := p.addr
 
 	bids := []auction.Bid{
 		auction.NewBid(1, []auction.TaskID{1, 2}, 5, map[auction.TaskID]float64{1: 0.5, 2: 0.6}),
@@ -169,15 +190,8 @@ func TestMultiTaskRoundOverTCP(t *testing.T) {
 		}(i, bid)
 	}
 	wg.Wait()
-	select {
-	case round := <-results:
-		if len(round.Outcome.Selected) == 0 {
-			t.Error("no winners")
-		}
-	case err := <-errs:
-		t.Fatalf("server: %v", err)
-	case <-time.After(30 * time.Second):
-		t.Fatal("server timed out")
+	if round := p.wait(t)[0]; len(round.Outcome.Selected) == 0 {
+		t.Error("no winners")
 	}
 }
 
@@ -185,8 +199,8 @@ func TestBidWindowRunsWithPartialBidders(t *testing.T) {
 	cfg := singleTaskConfig(5) // expects 5, only 2 will come
 	cfg.Tasks[0].Requirement = 0.5
 	cfg.BidWindow = 300 * time.Millisecond
-	srv, results, errs := startServer(t, cfg)
-	addr := srv.Addr().String()
+	p := startPlatform(t, context.Background(), cfg, engine.Config{})
+	addr := p.addr
 
 	for id := auction.UserID(1); id <= 2; id++ {
 		go func(id auction.UserID) {
@@ -200,23 +214,16 @@ func TestBidWindowRunsWithPartialBidders(t *testing.T) {
 			})
 		}(id)
 	}
-	select {
-	case round := <-results:
-		if len(round.Bids) != 2 {
-			t.Errorf("auction ran with %d bids, want 2", len(round.Bids))
-		}
-	case err := <-errs:
-		t.Fatalf("server: %v", err)
-	case <-time.After(30 * time.Second):
-		t.Fatal("server timed out")
+	if round := p.wait(t)[0]; len(round.Bids) != 2 {
+		t.Errorf("auction ran with %d bids, want 2", len(round.Bids))
 	}
 }
 
 func TestDuplicateUserRejected(t *testing.T) {
 	cfg := singleTaskConfig(2)
 	cfg.Tasks[0].Requirement = 0.5
-	srv, results, errs := startServer(t, cfg)
-	addr := srv.Addr().String()
+	p := startPlatform(t, context.Background(), cfg, engine.Config{})
+	addr := p.addr
 
 	bid := auction.NewBid(7, []auction.TaskID{1}, 2, map[auction.TaskID]float64{1: 0.8})
 	// First connection with user 7 succeeds through bidding; second one
@@ -242,35 +249,18 @@ func TestDuplicateUserRejected(t *testing.T) {
 			Addr: addr, User: 8, TrueBid: bid2, Seed: 3, Timeout: 10 * time.Second,
 		})
 	}()
-	select {
-	case <-results:
-	case err := <-errs:
-		t.Fatalf("server: %v", err)
-	case <-time.After(30 * time.Second):
-		t.Fatal("server timed out")
-	}
+	p.wait(t)
 	if err := <-first; err != nil {
 		t.Errorf("first agent failed: %v", err)
 	}
 }
 
 func TestServerContextCancellation(t *testing.T) {
-	srv, err := NewServer(singleTaskConfig(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, err := srv.Serve(ctx)
-		done <- err
-	}()
+	p := startPlatform(t, ctx, singleTaskConfig(3), engine.Config{})
 	cancel()
 	select {
-	case err := <-done:
+	case err := <-p.done:
 		if err == nil {
 			t.Error("cancelled Serve should return an error")
 		}
@@ -282,8 +272,8 @@ func TestServerContextCancellation(t *testing.T) {
 func TestMalformedClientGetsError(t *testing.T) {
 	cfg := singleTaskConfig(1)
 	cfg.Tasks[0].Requirement = 0.5
-	srv, results, errs := startServer(t, cfg)
-	addr := srv.Addr().String()
+	p := startPlatform(t, context.Background(), cfg, engine.Config{})
+	addr := p.addr
 
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -308,11 +298,5 @@ func TestMalformedClientGetsError(t *testing.T) {
 			Addr: addr, User: 9, TrueBid: bid, Seed: 4, Timeout: 10 * time.Second,
 		})
 	}()
-	select {
-	case <-results:
-	case err := <-errs:
-		t.Fatalf("server: %v", err)
-	case <-time.After(30 * time.Second):
-		t.Fatal("server timed out")
-	}
+	p.wait(t)
 }

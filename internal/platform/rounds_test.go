@@ -9,124 +9,87 @@ import (
 
 	"crowdsense/internal/agent"
 	"crowdsense/internal/auction"
+	"crowdsense/internal/engine"
 )
-
-func TestRunRoundsValidation(t *testing.T) {
-	cfg := singleTaskConfig(1)
-	if _, err := RunRounds(context.Background(), cfg, RoundsOptions{Rounds: 0}); err == nil {
-		t.Error("zero rounds should fail")
-	}
-}
 
 func TestRunRoundsServesMultipleRounds(t *testing.T) {
 	cfg := singleTaskConfig(2)
 	cfg.Tasks[0].Requirement = 0.5
 	const rounds = 3
-
-	addrCh := make(chan string, rounds)
-	resultsCh := make(chan []RoundResult, 1)
-	errCh := make(chan error, 1)
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-		defer cancel()
-		results, err := RunRounds(ctx, cfg, RoundsOptions{
-			Addr:    "127.0.0.1:0",
-			Rounds:  rounds,
-			OnReady: func(addr string) { addrCh <- addr },
-		})
-		if err != nil {
-			errCh <- err
-			return
-		}
-		resultsCh <- results
-	}()
+	cfg.Rounds = rounds
+	p := startPlatform(t, context.Background(), cfg, engine.Config{})
 
 	var firstAddr string
 	for round := 0; round < rounds; round++ {
 		select {
-		case addr := <-addrCh:
+		case addr := <-p.open:
 			if round == 0 {
 				firstAddr = addr
 			} else if addr != firstAddr {
 				t.Errorf("round %d moved to %s (first round used %s)", round+1, addr, firstAddr)
 			}
 			runPair(t, addr, round)
-		case err := <-errCh:
+		case err := <-p.done:
 			t.Fatalf("server: %v", err)
 		case <-time.After(30 * time.Second):
 			t.Fatal("round did not become ready")
 		}
 	}
 
-	select {
-	case results := <-resultsCh:
-		if len(results) != rounds {
-			t.Fatalf("completed %d rounds, want %d", len(results), rounds)
+	results := p.wait(t)
+	if len(results) != rounds {
+		t.Fatalf("completed %d rounds, want %d", len(results), rounds)
+	}
+	for i, r := range results {
+		if len(r.Bids) != 2 {
+			t.Errorf("round %d had %d bids", i+1, len(r.Bids))
 		}
-		for i, r := range results {
-			if len(r.Bids) != 2 {
-				t.Errorf("round %d had %d bids", i+1, len(r.Bids))
-			}
-			if len(r.Outcome.Selected) == 0 {
-				t.Errorf("round %d had no winners", i+1)
-			}
+		if len(r.Outcome.Selected) == 0 {
+			t.Errorf("round %d had no winners", i+1)
 		}
-	case err := <-errCh:
-		t.Fatalf("server: %v", err)
-	case <-time.After(30 * time.Second):
-		t.Fatal("rounds did not complete")
 	}
 }
 
 // TestRunRoundsCancelledMidRunReturnsCompletedRounds cancels the service
-// while a later round is still collecting bids: the rounds that settled
-// before the cancellation are returned alongside the context error.
+// while a later round is still collecting bids: Serve returns the context
+// error and the rounds that settled before the cancellation stay in the
+// engine's results.
 func TestRunRoundsCancelledMidRunReturnsCompletedRounds(t *testing.T) {
 	cfg := singleTaskConfig(2)
 	cfg.Tasks[0].Requirement = 0.5
+	cfg.Rounds = 3
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	addrCh := make(chan string, 3)
-	type outcome struct {
-		results []RoundResult
-		err     error
-	}
-	outCh := make(chan outcome, 1)
-	go func() {
-		results, err := RunRounds(ctx, cfg, RoundsOptions{
-			Addr:    "127.0.0.1:0",
-			Rounds:  3,
-			OnReady: func(addr string) { addrCh <- addr },
-			OnRound: func(round int, result RoundResult) {
-				if round == 1 {
-					cancel() // round 2 is collecting by now; kill the service
-				}
-			},
-		})
-		outCh <- outcome{results, err}
-	}()
+	p := startPlatform(t, ctx, cfg, engine.Config{
+		OnRound: func(r engine.RoundResult) {
+			if r.Round == 1 {
+				cancel() // round 2 is collecting by now; kill the service
+			}
+		},
+	})
 
 	select {
-	case addr := <-addrCh:
+	case addr := <-p.open:
 		runPair(t, addr, 0)
 	case <-time.After(30 * time.Second):
 		t.Fatal("service did not become ready")
 	}
 
 	select {
-	case out := <-outCh:
-		if !errors.Is(out.err, context.Canceled) {
-			t.Errorf("error = %v, want context.Canceled", out.err)
+	case err := <-p.done:
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("error = %v, want context.Canceled", err)
 		}
-		if len(out.results) != 1 {
-			t.Fatalf("returned %d completed rounds, want 1", len(out.results))
+		results := p.eng.Results()["default"]
+		if len(results) != 1 {
+			t.Fatalf("returned %d completed rounds, want 1", len(results))
 		}
-		if len(out.results[0].Bids) != 2 || out.results[0].Outcome == nil {
-			t.Errorf("round 1 result = %+v", out.results[0])
+		if len(results[0].Bids) != 2 || results[0].Outcome == nil {
+			t.Errorf("round 1 result = %+v", results[0])
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("RunRounds did not return after cancellation")
+		t.Fatal("engine did not return after cancellation")
 	}
 }
 
@@ -136,26 +99,9 @@ func TestRunRoundsBidWindowExpiry(t *testing.T) {
 	cfg := singleTaskConfig(5) // expects 5, only 2 will come
 	cfg.Tasks[0].Requirement = 0.5
 	cfg.BidWindow = 300 * time.Millisecond
+	p := startPlatform(t, context.Background(), cfg, engine.Config{})
 
-	addrCh := make(chan string, 1)
-	resultsCh := make(chan []RoundResult, 1)
-	errCh := make(chan error, 1)
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-		defer cancel()
-		results, err := RunRounds(ctx, cfg, RoundsOptions{
-			Addr:    "127.0.0.1:0",
-			Rounds:  1,
-			OnReady: func(addr string) { addrCh <- addr },
-		})
-		if err != nil {
-			errCh <- err
-			return
-		}
-		resultsCh <- results
-	}()
-
-	addr := <-addrCh
+	addr := <-p.open
 	for id := auction.UserID(1); id <= 2; id++ {
 		go func(id auction.UserID) {
 			bid := auction.NewBid(id, []auction.TaskID{1}, 2,
@@ -167,21 +113,15 @@ func TestRunRoundsBidWindowExpiry(t *testing.T) {
 		}(id)
 	}
 
-	select {
-	case results := <-resultsCh:
-		if len(results) != 1 {
-			t.Fatalf("completed %d rounds, want 1", len(results))
-		}
-		if len(results[0].Bids) != 2 {
-			t.Errorf("auction ran with %d bids, want 2", len(results[0].Bids))
-		}
-		if results[0].Outcome == nil || len(results[0].Outcome.Selected) == 0 {
-			t.Errorf("partial-bid round had no winners: %+v", results[0])
-		}
-	case err := <-errCh:
-		t.Fatalf("service: %v", err)
-	case <-time.After(30 * time.Second):
-		t.Fatal("window-expiry round did not complete")
+	results := p.wait(t)
+	if len(results) != 1 {
+		t.Fatalf("completed %d rounds, want 1", len(results))
+	}
+	if len(results[0].Bids) != 2 {
+		t.Errorf("auction ran with %d bids, want 2", len(results[0].Bids))
+	}
+	if results[0].Outcome == nil || len(results[0].Outcome.Selected) == 0 {
+		t.Errorf("partial-bid round had no winners: %+v", results[0])
 	}
 }
 

@@ -1,5 +1,5 @@
 #!/bin/sh
-# Pre-PR gate, equivalent to `make check` for environments without make:
+# Pre-PR gate and the one list of its gates (`make check` runs this script):
 # gofmt, vet, build, the full test suite, race-enabled tests of every
 # concurrency-bearing package, a seed-corpus pass of the wire fuzz
 # targets, and a one-iteration smoke run of the solver benchmarks (which
