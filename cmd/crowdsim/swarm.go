@@ -182,7 +182,8 @@ func runSwarm(cfg swarmConfig) (swarmTally, error) {
 	}
 
 	// The ops endpoint watches the fan-in live: engine metrics (admission,
-	// RPC latency, solver histograms) plus the span ring on /debug/spans.
+	// RPC latency, solver histograms) plus the span ring on /debug/spans and
+	// its round-level subset on /debug/rounds.
 	if cfg.metricsAddr != "" {
 		srv, err := obs.Serve(cfg.metricsAddr, obs.Options{
 			Gather: func() []obs.Family {
@@ -192,7 +193,6 @@ func runSwarm(cfg swarmConfig) (swarmTally, error) {
 			},
 			Health: e.Health,
 			Ready:  e.Readiness,
-			Rounds: func(n int) []obs.Event { return e.Trace().RecentRounds(n) },
 			Spans:  e.SpanRecords,
 		})
 		if err != nil {
@@ -200,7 +200,7 @@ func runSwarm(cfg swarmConfig) (swarmTally, error) {
 		}
 		defer srv.Close()
 		if !cfg.quiet {
-			fmt.Printf("swarm: ops endpoint up at http://%s (/metrics /debug/spans)\n", srv.Addr())
+			fmt.Printf("swarm: ops endpoint up at http://%s (/metrics /debug/spans /debug/rounds)\n", srv.Addr())
 		}
 	}
 

@@ -100,7 +100,7 @@ func run(args []string) error {
 		rounds      = fs.Int("rounds", 1, "auction rounds to serve before exiting")
 		campaigns   = fs.Int("campaigns", 0, "serve this many concurrent campaigns (c1..cN) on one port (0 = one campaign named default)")
 		workers     = fs.Int("workers", 0, "winner-determination worker pool size (0 = auto)")
-		journal     = fs.String("journal", "", "append one JSON line per round to this file")
+		journal     = fs.String("journal", "", "append one JSON line per round to this file (not with -cluster: a shard's rounds are in its -state-dir WAL)")
 		spanJournal = fs.String("span-journal", "", "record lifecycle spans (campaign/round/phase/solver) to this JSONL file, rotated by size")
 		nodeFlag    = fs.String("node", "", "node identity stamped into span records and cross-process trace context, so obsctl stitch can merge this journal with other nodes' (default: shard@addr in cluster node mode, \"router\" for the router, else \"platform\")")
 		stateDir    = fs.String("state-dir", "", "durable state directory: campaign events are written to a WAL there, and on restart the log is replayed to resume campaigns at the last durable round boundary (empty = in-memory only)")
@@ -130,6 +130,11 @@ func run(args []string) error {
 	}
 	if *rounds < 1 {
 		return fmt.Errorf("-rounds %d must be positive", *rounds)
+	}
+	if *journal != "" && *clusterArg != "" {
+		// A shard's round journal is derived from its WAL
+		// (platform.JournalFromState); nothing would write this file.
+		return errors.New("-journal is not supported with -cluster: each shard's settled rounds are in its -state-dir WAL")
 	}
 
 	sloCfg, err := parseSLOTargets(*sloP99)
@@ -456,13 +461,6 @@ func (o *opsState) ready() obs.Readiness {
 	return obs.Readiness{Health: o.health()}
 }
 
-func (o *opsState) rounds(n int) []obs.Event {
-	if e := o.eng.Load(); e != nil {
-		return e.Trace().RecentRounds(n)
-	}
-	return nil
-}
-
 func (o *opsState) spans(n int) []span.Record {
 	if e := o.eng.Load(); e != nil {
 		return e.SpanRecords(n)
@@ -477,7 +475,6 @@ func serveOps(addr string, ops *opsState) (*obs.OpsServer, error) {
 		Gather:     ops.gather,
 		Health:     ops.health,
 		Ready:      ops.ready,
-		Rounds:     ops.rounds,
 		Spans:      ops.spans,
 		Audit:      ops.audit,
 		Reputation: ops.reputation,

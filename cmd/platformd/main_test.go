@@ -141,6 +141,7 @@ func TestRestartRestoresDefaultCampaign(t *testing.T) {
 // TestRejectsBadFlags: outside input the engine would otherwise reinterpret
 // is refused before anything listens.
 func TestRejectsBadFlags(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "journal.jsonl")
 	for _, tc := range []struct {
 		name string
 		args []string
@@ -148,6 +149,8 @@ func TestRejectsBadFlags(t *testing.T) {
 	}{
 		{"zero rounds", []string{"-rounds", "0"}, "-rounds 0 must be positive"},
 		{"negative rounds", []string{"-rounds", "-2"}, "-rounds -2 must be positive"},
+		{"journal in cluster mode", []string{"-cluster", "s1", "-shard", "s1", "-state-dir", t.TempDir(),
+			"-journal", journal}, "-journal is not supported with -cluster"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			done := runAsync(append([]string{"-addr", "127.0.0.1:0", "-log-level", "warn"}, tc.args...)...)
@@ -160,6 +163,9 @@ func TestRejectsBadFlags(t *testing.T) {
 				t.Fatalf("run(%v) started serving instead of rejecting the flags", tc.args)
 			}
 		})
+	}
+	if _, err := os.Stat(journal); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("rejected -journal %s was created (stat: %v)", journal, err)
 	}
 }
 

@@ -74,12 +74,12 @@ func main() {
 	addr := eng.Addr().String()
 
 	// Live telemetry: /metrics (Prometheus text format), /healthz,
-	// /debug/rounds, and pprof, the same endpoint platformd exposes with
-	// -metrics-addr.
+	// /debug/rounds and /debug/spans (both read the engine's span ring), and
+	// pprof, the same endpoint platformd exposes with -metrics-addr.
 	ops, err := obs.Serve("127.0.0.1:0", obs.Options{
 		Gather: eng.MetricFamilies,
 		Health: eng.Health,
-		Rounds: eng.Trace().RecentRounds,
+		Spans:  eng.SpanRecords,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -191,9 +191,9 @@ func BenchmarkEngineStoreOverhead(b *testing.B) {
 }
 
 // BenchmarkObsOverhead measures the cost of the live telemetry layer:
-// counters, histograms, and the round-trace ring (SpanRingCapacity -1 keeps
-// the lifecycle span layer out, whose own budget BenchmarkSpanOverhead
-// gates), against Config.DisableObservability — the no-op sink. The timed
+// per-campaign counters and histograms (SpanRingCapacity -1 keeps the
+// lifecycle span layer out, whose own budget BenchmarkSpanOverhead gates),
+// against Config.DisableObservability — the no-op sink. The timed
 // portion (ns/op) is the instrumented run; the no-op run is measured
 // separately and the floor-to-floor delta reported as overhead_%. The
 // overhead is asserted to stay within 10% once there are enough rounds to

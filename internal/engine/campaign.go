@@ -173,7 +173,6 @@ func (c *campaign) openRoundLocked() {
 		}
 		c.roundCtx[c.cur.index+1] = ctx
 	}
-	c.eng.tracePhase(c, c.cur.index+1, stateCollecting.String())
 	// On recovery this reopens the in-flight round: the fresh round_opened
 	// event supersedes the torn round's partial bids in the log.
 	c.eng.emitLocked(store.Event{Type: store.EventRoundOpened, Campaign: c.cfg.ID,
@@ -256,7 +255,6 @@ func (c *campaign) startComputeLocked(rd *round) {
 	c.state = stateComputing
 	rd.phase.EndWith(span.Int("bids", int64(len(rd.bids))))
 	rd.phase = rd.span.Child(span.NamePhaseComputing)
-	c.eng.tracePhase(c, rd.index+1, stateComputing.String())
 	// The compute queue has one slot per campaign and a campaign has at most
 	// one round in flight, so this send never blocks.
 	c.eng.compute <- computeJob{camp: c, rd: rd}
@@ -291,7 +289,6 @@ func (c *campaign) runWinnerDetermination(rd *round) {
 	c.state = stateSettling
 	rd.phase.End()
 	rd.phase = rd.span.Child(span.NamePhaseSettling)
-	c.eng.tracePhase(c, rd.index+1, stateSettling.String())
 	c.eng.emitLocked(store.Event{Type: store.EventWinnersDetermined, Campaign: c.cfg.ID,
 		Round: rd.index + 1, Outcome: outcome, Err: errString(err)})
 	c.eng.mu.Unlock()
@@ -402,7 +399,6 @@ func (c *campaign) finalizeLocked(rd *round) (RoundResult, bool) {
 	c.state = stateClosed
 	c.cur = nil
 	c.span.EndWith(span.Int("rounds_completed", int64(len(c.results))))
-	c.eng.tracePhase(c, result.Round, stateClosed.String())
 	c.eng.emitLocked(store.Event{Type: store.EventCampaignFinished, Campaign: c.cfg.ID})
 	return result, false
 }

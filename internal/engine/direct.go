@@ -69,9 +69,7 @@ func (e *Engine) admit(ctx context.Context, camp *campaign, bids []auction.Bid, 
 	case e.ingest <- req:
 	default:
 		if !block {
-			for i := range bids {
-				e.recordBidRejected(camp, bids[i].User, errQueueFull.Error())
-			}
+			e.recordBids(camp, 0, len(bids))
 			return nil, errQueueFull
 		}
 		select {
@@ -85,13 +83,8 @@ func (e *Engine) admit(ctx context.Context, camp *campaign, bids []auction.Bid, 
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
-	for i, verdict := range d.Verdicts {
-		if verdict != nil {
-			e.recordBidRejected(camp, bids[i].User, verdict.Error())
-			continue
-		}
-		e.recordBidAccepted(camp, d.rd, bids[i].User)
-	}
+	admitted := d.Admitted()
+	e.recordBids(camp, admitted, len(bids)-admitted)
 	return d, nil
 }
 

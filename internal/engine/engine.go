@@ -83,12 +83,13 @@ type Config struct {
 
 	// SpanRingCapacity bounds the in-memory span ring (records, rounded up
 	// to a power of two). Zero means span.DefaultRingCapacity; negative
-	// disables the ring — with no SpanSinks either, the engine runs with a
-	// nil tracer and keeps only metrics and the round trace.
+	// disables the ring, and with it /debug/spans and /debug/rounds — with
+	// no SpanSinks either, the engine runs with a nil tracer and keeps only
+	// metrics.
 	SpanRingCapacity int
 
 	// DisableObservability turns the metrics and tracing layer into a no-op
-	// sink: no counters, histograms, or trace events are recorded. Exists
+	// sink: no counters, histograms, or spans are recorded. Exists
 	// so the overhead of the instrumented path can be benchmarked against a
 	// true baseline; production engines should leave it false.
 	DisableObservability bool
@@ -194,9 +195,8 @@ type Engine struct {
 	closeOnce sync.Once // guards close(allClosed): campaigns may all be closed before Serve
 
 	metrics  metrics
-	trace    *obs.Trace
 	spans    *span.Tracer // nil when DisableObservability is set
-	spanRing *span.Ring   // backs /debug/spans; nil when disabled
+	spanRing *span.Ring   // backs /debug/spans and /debug/rounds; nil when disabled
 	wg       sync.WaitGroup
 }
 
@@ -206,7 +206,6 @@ func New(cfg Config) *Engine {
 		cfg:       cfg,
 		campaigns: make(map[string]*campaign),
 		allClosed: make(chan struct{}),
-		trace:     obs.NewTrace(obs.DefaultTraceCapacity),
 	}
 	if !cfg.DisableObservability {
 		sinks := cfg.SpanSinks
@@ -763,12 +762,7 @@ func (e *Engine) Snapshot() Snapshot {
 	}
 	e.mu.Unlock()
 	m := &e.metrics
-	return Snapshot{
-		BidsAccepted:    m.bidsAccepted.Load(),
-		BidsRejected:    m.bidsRejected.Load(),
-		RoundsCompleted: m.roundsCompleted.Load(),
-		RoundsFailed:    m.roundsFailed.Load(),
-
+	s := Snapshot{
 		WireSessionsJSON:   m.wireSessionsJSON.Load(),
 		WireSessionsBinary: m.wireSessionsBinary.Load(),
 		BidBatches:         m.bidBatches.Load(),
@@ -777,10 +771,24 @@ func (e *Engine) Snapshot() Snapshot {
 		CampaignsClosed:    total - openCount,
 		QueueLen:           queueLen,
 		QueueCap:           queueCap,
-		RoundLatency:       m.roundLatency.snapshot(),
-		ComputeLatency:     m.computeLatency.snapshot(),
 		Campaigns:          campaigns,
 	}
+	// The engine-wide bid, round and latency figures are the per-campaign
+	// ones summed and merged. That is exact: every bid verdict and round
+	// belongs to a campaign, and campaigns are never dropped.
+	rounds := make([]HistogramSnapshot, 0, len(campaigns))
+	computes := make([]HistogramSnapshot, 0, len(campaigns))
+	for _, c := range campaigns {
+		s.BidsAccepted += c.BidsAccepted
+		s.BidsRejected += c.BidsRejected
+		s.RoundsCompleted += c.RoundsCompleted
+		s.RoundsFailed += c.RoundsFailed
+		rounds = append(rounds, c.RoundLatency)
+		computes = append(computes, c.ComputeLatency)
+	}
+	s.RoundLatency = mergeHistograms(rounds)
+	s.ComputeLatency = mergeHistograms(computes)
+	return s
 }
 
 // bidFromWire converts and sanity-checks a wire bid.

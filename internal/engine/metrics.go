@@ -61,26 +61,65 @@ func (h *histogram) observe(d time.Duration) {
 }
 
 func (h *histogram) snapshot() HistogramSnapshot {
-	s := HistogramSnapshot{
-		Count: h.count.Load(),
-		Sum:   time.Duration(h.sum.Load()),
-		Max:   time.Duration(h.max.Load()),
+	var counts [numLatencyBuckets + 1]uint64
+	for i := range counts {
+		counts[i] = h.counts[i].Load()
 	}
+	return newHistogramSnapshot(&counts, h.count.Load(),
+		time.Duration(h.sum.Load()), time.Duration(h.max.Load()))
+}
+
+// newHistogramSnapshot builds a snapshot from raw bucket counts (the last
+// slot is +Inf), the observation count, and the sum and max.
+func newHistogramSnapshot(counts *[numLatencyBuckets + 1]uint64, count uint64, sum, max time.Duration) HistogramSnapshot {
+	s := HistogramSnapshot{Count: count, Sum: sum, Max: max}
 	if s.Count > 0 {
 		s.Mean = s.Sum / time.Duration(s.Count)
 	}
-	for i, bound := range latencyBuckets {
-		if n := h.counts[i].Load(); n > 0 {
-			s.Buckets = append(s.Buckets, Bucket{UpperBound: bound, Count: n})
+	for i, n := range counts {
+		if n == 0 {
+			continue
 		}
-	}
-	if n := h.counts[len(latencyBuckets)].Load(); n > 0 {
-		s.Buckets = append(s.Buckets, Bucket{UpperBound: -1, Count: n})
+		bound := time.Duration(-1)
+		if i < len(latencyBuckets) {
+			bound = latencyBuckets[i]
+		}
+		s.Buckets = append(s.Buckets, Bucket{UpperBound: bound, Count: n})
 	}
 	s.P50 = s.Quantile(0.50)
 	s.P95 = s.Quantile(0.95)
 	s.P99 = s.Quantile(0.99)
 	return s
+}
+
+// mergeHistograms returns the snapshot of the union of the observations
+// behind parts. It is exact: bucket counts, counts and sums add, and the
+// max is the largest.
+func mergeHistograms(parts []HistogramSnapshot) HistogramSnapshot {
+	var counts [numLatencyBuckets + 1]uint64
+	var count uint64
+	var sum, max time.Duration
+	for _, p := range parts {
+		for _, b := range p.Buckets {
+			counts[bucketIndex(b.UpperBound)] += b.Count
+		}
+		count += p.Count
+		sum += p.Sum
+		if p.Max > max {
+			max = p.Max
+		}
+	}
+	return newHistogramSnapshot(&counts, count, sum, max)
+}
+
+// bucketIndex is the counts slot of the bucket bounded by ub (−1: +Inf).
+func bucketIndex(ub time.Duration) int {
+	for i, bound := range latencyBuckets {
+		if bound == ub {
+			return i
+		}
+	}
+	return numLatencyBuckets
 }
 
 // atomicFloat is a float64 counter/gauge built on CAS over the bit pattern.
@@ -202,22 +241,16 @@ func (s HistogramSnapshot) String() string {
 	return b.String()
 }
 
-// metrics aggregates engine-wide observability counters.
+// metrics holds the engine-wide signals that have no per-campaign copy.
+// The engine-wide bid, round and latency figures of a Snapshot are derived
+// from campaignMetrics instead.
 type metrics struct {
-	bidsAccepted    atomic.Uint64
-	bidsRejected    atomic.Uint64
-	roundsCompleted atomic.Uint64
-	roundsFailed    atomic.Uint64
-
 	// Wire fan-in: sessions by negotiated codec, and the batched-bid path
 	// (frames carrying many bids, from aggregators or SubmitBids).
 	wireSessionsJSON   atomic.Uint64
 	wireSessionsBinary atomic.Uint64
 	bidBatches         atomic.Uint64
 	batchedBids        atomic.Uint64
-
-	roundLatency   histogram // first bid → settled
-	computeLatency histogram // winner determination wall time
 
 	// Server-side per-envelope-type handling latency (crowdsense_rpc_*):
 	// what the engine spent answering each inbound rpc leg, excluding waits
@@ -238,8 +271,8 @@ type campaignMetrics struct {
 	roundsCompleted atomic.Uint64
 	roundsFailed    atomic.Uint64
 
-	roundLatency   histogram
-	computeLatency histogram
+	roundLatency   histogram // first bid → settled
+	computeLatency histogram // winner determination wall time
 
 	winnersTotal     atomic.Uint64
 	paymentTotal     atomicFloat

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -44,23 +45,98 @@ func TestHistogramObserve(t *testing.T) {
 	}
 }
 
+// campaignInput is what one campaign's metrics record in a Snapshot test.
+type campaignInput struct {
+	accepted, rejected, completed, failed uint64
+	round, compute                        []time.Duration
+}
+
+// TestSnapshotRendering derives a Snapshot from campaign metrics: the
+// engine-wide counters must be the per-campaign sums, and the engine-wide
+// histograms must equal one histogram fed every campaign's observations.
 func TestSnapshotRendering(t *testing.T) {
-	var m metrics
-	m.bidsAccepted.Add(3)
-	m.roundsCompleted.Add(1)
-	m.roundLatency.observe(10 * time.Millisecond)
-	s := Snapshot{
-		BidsAccepted:    m.bidsAccepted.Load(),
-		RoundsCompleted: m.roundsCompleted.Load(),
-		RoundLatency:    m.roundLatency.snapshot(),
+	cases := []struct {
+		name      string
+		campaigns map[string]campaignInput
+		want      []string // substrings of String()
+		wantJSON  string   // substring of JSON()
+	}{
+		{
+			name: "one campaign",
+			campaigns: map[string]campaignInput{
+				"c1": {accepted: 3, completed: 1, round: []time.Duration{10 * time.Millisecond}},
+			},
+			want:     []string{"accepted=3", "completed=1", "round latency: n=1"},
+			wantJSON: `"bids_accepted":3`,
+		},
+		{
+			// Mostly different buckets, one shared bucket per histogram
+			// (3 ms and 4 ms; 500 µs and 700 µs), and the larger max in c2
+			// for rounds but in c1 for winner determination.
+			name: "two campaigns, different buckets",
+			campaigns: map[string]campaignInput{
+				"c1": {accepted: 3, rejected: 1, completed: 2,
+					round:   []time.Duration{3 * time.Millisecond, 40 * time.Millisecond},
+					compute: []time.Duration{500 * time.Microsecond, 1200 * time.Millisecond}},
+				"c2": {accepted: 5, rejected: 2, completed: 2, failed: 1,
+					round:   []time.Duration{4 * time.Millisecond, 700 * time.Millisecond, 2 * time.Minute},
+					compute: []time.Duration{700 * time.Microsecond, 30 * time.Millisecond, 4 * time.Millisecond}},
+			},
+			want:     []string{"accepted=8 rejected=3", "completed=4 failed=1", "round latency: n=5", "winner determination: n=5"},
+			wantJSON: `"bids_accepted":8`,
+		},
 	}
-	text := s.String()
-	for _, want := range []string{"accepted=3", "completed=1", "n=1"} {
-		if !strings.Contains(text, want) {
-			t.Errorf("String() missing %q:\n%s", want, text)
-		}
-	}
-	if js := s.JSON(); !strings.Contains(js, `"bids_accepted":3`) {
-		t.Errorf("JSON() = %s", js)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := New(Config{})
+			var allRound, allCompute histogram
+			for id, in := range tc.campaigns {
+				if err := e.AddCampaign(singleTaskCampaign(id, 2)); err != nil {
+					t.Fatal(err)
+				}
+				m := &e.campaigns[id].obs
+				m.bidsAccepted.Add(in.accepted)
+				m.bidsRejected.Add(in.rejected)
+				m.roundsCompleted.Add(in.completed)
+				m.roundsFailed.Add(in.failed)
+				for _, d := range in.round {
+					m.roundLatency.observe(d)
+					allRound.observe(d)
+				}
+				for _, d := range in.compute {
+					m.computeLatency.observe(d)
+					allCompute.observe(d)
+				}
+			}
+			s := e.Snapshot()
+
+			var sum campaignInput
+			for _, c := range s.Campaigns {
+				sum.accepted += c.BidsAccepted
+				sum.rejected += c.BidsRejected
+				sum.completed += c.RoundsCompleted
+				sum.failed += c.RoundsFailed
+			}
+			if got := (campaignInput{accepted: s.BidsAccepted, rejected: s.BidsRejected,
+				completed: s.RoundsCompleted, failed: s.RoundsFailed}); !reflect.DeepEqual(got, sum) {
+				t.Errorf("engine-wide counters %+v, want the per-campaign sums %+v", got, sum)
+			}
+			if want := allRound.snapshot(); !reflect.DeepEqual(s.RoundLatency, want) {
+				t.Errorf("RoundLatency = %+v, want %+v", s.RoundLatency, want)
+			}
+			if want := allCompute.snapshot(); !reflect.DeepEqual(s.ComputeLatency, want) {
+				t.Errorf("ComputeLatency = %+v, want %+v", s.ComputeLatency, want)
+			}
+
+			text := s.String()
+			for _, want := range tc.want {
+				if !strings.Contains(text, want) {
+					t.Errorf("String() missing %q:\n%s", want, text)
+				}
+			}
+			if js := s.JSON(); !strings.Contains(js, tc.wantJSON) {
+				t.Errorf("JSON() = %s", js)
+			}
+		})
 	}
 }

@@ -12,6 +12,7 @@ import (
 
 	"crowdsense/internal/auction"
 	"crowdsense/internal/obs"
+	"crowdsense/internal/obs/span"
 )
 
 func TestQuantile(t *testing.T) {
@@ -129,7 +130,7 @@ func TestOpsEndpointMidRun(t *testing.T) {
 	ops, err := obs.Serve("127.0.0.1:0", obs.Options{
 		Gather: e.MetricFamilies,
 		Health: e.Health,
-		Rounds: e.Trace().RecentRounds,
+		Spans:  e.SpanRecords,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -194,19 +195,37 @@ func TestOpsEndpointMidRun(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("/debug/rounds status %d", code)
 	}
-	var events []obs.Event
-	if err := json.Unmarshal([]byte(roundsBody), &events); err != nil {
+	var recs []span.Record
+	if err := json.Unmarshal([]byte(roundsBody), &recs); err != nil {
 		t.Fatal(err)
 	}
-	kinds := make(map[string]int)
-	for _, ev := range events {
-		if ev.Campaign != "c1" {
-			t.Errorf("event for unexpected campaign %q", ev.Campaign)
+	phases := 0
+	var settled *span.Record
+	for i, rec := range recs {
+		if rec.Campaign != "c1" {
+			t.Errorf("%s span for unexpected campaign %q", rec.Name, rec.Campaign)
 		}
-		kinds[ev.Kind]++
+		if rec.Round != 1 {
+			continue
+		}
+		switch rec.Name {
+		case span.NamePhaseCollecting, span.NamePhaseComputing, span.NamePhaseSettling:
+			phases++
+		case span.NameRound:
+			settled = &recs[i]
+		}
 	}
-	if kinds[obs.KindBidAccepted] != agents || kinds[obs.KindRoundSettled] != 1 || kinds[obs.KindPhase] == 0 {
-		t.Errorf("trace kinds = %v", kinds)
+	if phases != 3 {
+		t.Errorf("round 1 has %d phase spans, want 3: %+v", phases, recs)
+	}
+	if settled == nil {
+		t.Fatalf("no round span for c1 round 1: %+v", recs)
+	}
+	if w, _ := settled.Attrs.Int("winners"); w <= 0 {
+		t.Errorf("round span winners = %d, want > 0: %+v", w, settled.Attrs)
+	}
+	if settled.Attrs.Get("payment") == nil {
+		t.Errorf("round span has no payment attribute: %+v", settled.Attrs)
 	}
 
 	runRound(2)
@@ -240,7 +259,7 @@ func TestOpsEndpointMidRun(t *testing.T) {
 }
 
 // TestDisableObservability checks the benchmark no-op sink: with it set,
-// rounds still settle but no counters move and no trace events appear.
+// rounds still settle but no counters move and no spans appear.
 func TestDisableObservability(t *testing.T) {
 	roundDone := make(chan RoundResult, 1)
 	e := New(Config{
@@ -276,7 +295,7 @@ func TestDisableObservability(t *testing.T) {
 	if c := s.Campaigns["c1"]; c.BidsAccepted != 0 || c.ComputeLatency.Count != 0 {
 		t.Errorf("campaign counters moved with observability disabled: %+v", c)
 	}
-	if n := e.Trace().Recorded(); n != 0 {
-		t.Errorf("trace recorded %d events with observability disabled", n)
+	if recs := e.SpanRecords(100); len(recs) != 0 {
+		t.Errorf("%d spans recorded with observability disabled", len(recs))
 	}
 }

@@ -3,7 +3,6 @@ package engine
 import (
 	"time"
 
-	"crowdsense/internal/auction"
 	"crowdsense/internal/mechanism"
 	"crowdsense/internal/obs"
 	"crowdsense/internal/obs/span"
@@ -12,15 +11,11 @@ import (
 // This file is the engine's bridge to internal/obs: the recording helpers
 // every hot path funnels through (all gated on Config.DisableObservability,
 // so the no-op sink is a single branch), and the exporters the HTTP ops
-// endpoint consumes — Trace, Health, and MetricFamilies.
-
-// Trace exposes the engine's round-trace ring: structured phase
-// transitions, bid verdicts, and settled rounds, bounded in memory.
-func (e *Engine) Trace() *obs.Trace { return e.trace }
+// endpoint consumes — SpanRecords, Health, and MetricFamilies.
 
 // SpanRecords returns up to n of the engine's most recent lifecycle spans,
-// oldest first — the data source behind /debug/spans. Nil when observability
-// is disabled.
+// oldest first — the data source behind /debug/spans and /debug/rounds. Nil
+// when observability is disabled.
 func (e *Engine) SpanRecords(n int) []span.Record {
 	if e.spanRing == nil {
 		return nil
@@ -30,19 +25,13 @@ func (e *Engine) SpanRecords(n int) []span.Record {
 
 func (e *Engine) obsOff() bool { return e.cfg.DisableObservability }
 
-// recordBidAccepted counts one admitted bid, engine-wide and per campaign.
-func (e *Engine) recordBidAccepted(c *campaign, rd *round, user auction.UserID) {
+// recordBids counts one admission's verdicts for its campaign.
+func (e *Engine) recordBids(c *campaign, accepted, rejected int) {
 	if e.obsOff() {
 		return
 	}
-	e.metrics.bidsAccepted.Add(1)
-	c.obs.bidsAccepted.Add(1)
-	e.trace.Record(obs.Event{
-		Kind:     obs.KindBidAccepted,
-		Campaign: c.cfg.ID,
-		Round:    rd.index + 1,
-		User:     int(user),
-	})
+	c.obs.bidsAccepted.Add(uint64(accepted))
+	c.obs.bidsRejected.Add(uint64(rejected))
 }
 
 // recordRPC folds one server-side envelope handling latency into its rpc
@@ -76,36 +65,6 @@ func (e *Engine) recordBidBatch(n int) {
 	e.metrics.batchedBids.Add(uint64(n))
 }
 
-// recordBidRejected counts one rejected bid with the reason the agent saw.
-func (e *Engine) recordBidRejected(c *campaign, user auction.UserID, reason string) {
-	if e.obsOff() {
-		return
-	}
-	e.metrics.bidsRejected.Add(1)
-	c.obs.bidsRejected.Add(1)
-	e.trace.Record(obs.Event{
-		Kind:     obs.KindBidRejected,
-		Campaign: c.cfg.ID,
-		User:     int(user),
-		Reason:   reason,
-	})
-}
-
-// tracePhase records a campaign state transition (collecting → computing →
-// settling → closed). Safe to call under the engine lock: recording is one
-// atomic claim plus one pointer store.
-func (e *Engine) tracePhase(c *campaign, round int, phase string) {
-	if e.obsOff() {
-		return
-	}
-	e.trace.Record(obs.Event{
-		Kind:     obs.KindPhase,
-		Campaign: c.cfg.ID,
-		Round:    round,
-		Phase:    phase,
-	})
-}
-
 // recordCompute folds one winner-determination run into the latency
 // histograms and the mechanism gauges (winner count, committed payment, DP
 // cells / greedy iterations).
@@ -113,48 +72,24 @@ func (e *Engine) recordCompute(c *campaign, outcome *mechanism.Outcome, elapsed 
 	if e.obsOff() {
 		return
 	}
-	e.metrics.computeLatency.observe(elapsed)
 	c.obs.computeLatency.observe(elapsed)
 	if outcome != nil {
 		c.obs.recordWD(outcome.Stats)
 	}
 }
 
-// recordRound folds a finalized round into the counters and histograms and
-// emits its settled/void trace event.
+// recordRound folds a finalized round into its campaign's counters and
+// round-latency histogram.
 func (e *Engine) recordRound(c *campaign, result RoundResult) {
 	if e.obsOff() {
 		return
 	}
-	kind := obs.KindRoundSettled
 	if result.Err != nil {
-		kind = obs.KindRoundVoid
-		e.metrics.roundsFailed.Add(1)
 		c.obs.roundsFailed.Add(1)
 	} else {
-		e.metrics.roundsCompleted.Add(1)
 		c.obs.roundsCompleted.Add(1)
 	}
-	e.metrics.roundLatency.observe(result.RoundLatency)
 	c.obs.roundLatency.observe(result.RoundLatency)
-
-	ev := obs.Event{
-		Kind:       kind,
-		Campaign:   c.cfg.ID,
-		Round:      result.Round,
-		WDNanos:    int64(result.ComputeLatency),
-		RoundNanos: int64(result.RoundLatency),
-	}
-	if result.Err != nil {
-		ev.Reason = result.Err.Error()
-	}
-	if result.Outcome != nil {
-		ev.Winners = len(result.Outcome.Selected)
-	}
-	for _, s := range result.Settlements {
-		ev.Payment += s.Reward
-	}
-	e.trace.Record(ev)
 }
 
 // snapshotLocked captures one campaign's metrics; the caller holds the

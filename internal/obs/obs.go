@@ -1,11 +1,13 @@
 // Package obs is the platform's reusable observability layer: metric
-// families rendered by hand into the Prometheus text exposition format, a
-// lock-free ring buffer of structured round events, and an HTTP ops server
-// exposing /metrics, /healthz, /debug/rounds, and net/http/pprof.
+// families rendered by hand into the Prometheus text exposition format, and
+// an HTTP ops server exposing /metrics, /healthz, /readyz, the /debug views
+// (recent spans, and the round-level subset of them on /debug/rounds), and
+// net/http/pprof.
 //
 // The package deliberately has no dependency on the engine (or any other
-// crowdsense package): producers describe their state as []Family, Health,
-// and Event values, and obs renders and serves them. internal/engine is the
+// crowdsense package outside internal/obs): producers describe their state
+// as []Family, Health and span.Record values, and obs renders and serves
+// them. internal/engine is the
 // primary producer; anything else that grows counters can reuse the same
 // substrate without new dependencies.
 package obs

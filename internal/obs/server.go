@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -108,11 +109,10 @@ type Options struct {
 	Health func() Health
 	// Ready supplies the /readyz report.
 	Ready func() Readiness
-	// Rounds supplies up to n recent trace events for /debug/rounds,
-	// oldest first (typically Trace.RecentRounds).
-	Rounds func(n int) []Event
-	// Spans supplies up to n recent lifecycle spans for /debug/spans,
-	// oldest first (typically Engine.SpanRecords).
+	// Spans supplies up to n recent lifecycle spans, oldest first, or all
+	// it holds when n is larger (typically Engine.SpanRecords). It backs
+	// /debug/spans, and /debug/rounds as the round-level subset of the
+	// same records.
 	Spans func(n int) []span.Record
 	// Audit supplies the live-audit reports for /debug/audit — one per
 	// auditor (single-process deployments have exactly one; cluster nodes
@@ -129,7 +129,7 @@ type Options struct {
 //	/metrics       Prometheus text exposition format
 //	/healthz       JSON liveness: always 200 while the process serves requests
 //	/readyz        JSON readiness with per-campaign status, 503 when saturated
-//	/debug/rounds  JSON of the recent round trace (?n= bounds the count)
+//	/debug/rounds  JSON of the recent round, phase and wd spans (?n= bounds the count)
 //	/debug/spans   JSON of the recent lifecycle spans (?n= bounds the count)
 //	/debug/audit   JSON live-audit reports (invariants + SLO burn rates)
 //	/debug/reputation  JSON learned-reliability reports (the closed loop's state)
@@ -169,40 +169,19 @@ func NewMux(opts Options) *http.ServeMux {
 	}
 	if opts.Spans != nil {
 		mux.HandleFunc("/debug/spans", func(w http.ResponseWriter, r *http.Request) {
-			n := 100
-			if arg := r.URL.Query().Get("n"); arg != "" {
-				v, err := strconv.Atoi(arg)
-				if err != nil || v < 1 {
-					http.Error(w, fmt.Sprintf("bad n %q", arg), http.StatusBadRequest)
-					return
-				}
-				n = v
+			n, ok := parseN(w, r)
+			if !ok {
+				return
 			}
-			recs := opts.Spans(n)
-			if recs == nil {
-				recs = []span.Record{}
-			}
-			w.Header().Set("Content-Type", "application/json")
-			_ = json.NewEncoder(w).Encode(recs)
+			writeRecords(w, opts.Spans(n))
 		})
-	}
-	if opts.Rounds != nil {
 		mux.HandleFunc("/debug/rounds", func(w http.ResponseWriter, r *http.Request) {
-			n := 100
-			if arg := r.URL.Query().Get("n"); arg != "" {
-				v, err := strconv.Atoi(arg)
-				if err != nil || v < 1 {
-					http.Error(w, fmt.Sprintf("bad n %q", arg), http.StatusBadRequest)
-					return
-				}
-				n = v
+			n, ok := parseN(w, r)
+			if !ok {
+				return
 			}
-			events := opts.Rounds(n)
-			if events == nil {
-				events = []Event{}
-			}
-			w.Header().Set("Content-Type", "application/json")
-			_ = json.NewEncoder(w).Encode(events)
+			// Spans clamps n to what it holds: this reads all of it.
+			writeRecords(w, roundRecords(opts.Spans(math.MaxInt), n))
 		})
 	}
 	if opts.Audit != nil {
@@ -231,6 +210,47 @@ func NewMux(opts Options) *http.ServeMux {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
+}
+
+// parseN reads the ?n= record bound shared by /debug/spans and
+// /debug/rounds (default 100). A bad value answers 400 and reports false.
+func parseN(w http.ResponseWriter, r *http.Request) (int, bool) {
+	arg := r.URL.Query().Get("n")
+	if arg == "" {
+		return 100, true
+	}
+	n, err := strconv.Atoi(arg)
+	if err != nil || n < 1 {
+		http.Error(w, fmt.Sprintf("bad n %q", arg), http.StatusBadRequest)
+		return 0, false
+	}
+	return n, true
+}
+
+// roundRecords keeps the last n round-level records of recs — the round,
+// phase and wd spans — in their order.
+func roundRecords(recs []span.Record, n int) []span.Record {
+	var out []span.Record
+	for _, rec := range recs {
+		switch rec.Name {
+		case span.NameRound, span.NamePhaseCollecting, span.NamePhaseComputing,
+			span.NamePhaseSettling, span.NameWD:
+			out = append(out, rec)
+		}
+	}
+	if len(out) > n {
+		out = out[len(out)-n:]
+	}
+	return out
+}
+
+// writeRecords serves recs as a JSON array; none serves [], not null.
+func writeRecords(w http.ResponseWriter, recs []span.Record) {
+	if recs == nil {
+		recs = []span.Record{}
+	}
+	w.Header().Set("Content-Type", "application/json")
+	_ = json.NewEncoder(w).Encode(recs)
 }
 
 // OpsServer is a running ops endpoint; Close shuts it down.

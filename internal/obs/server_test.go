@@ -2,16 +2,18 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
 	"crowdsense/internal/obs/span"
 )
 
-func testOptions(h Health, tr *Trace) Options {
+func testOptions(h Health, ring *span.Ring) Options {
 	return Options{
 		Gather: func() []Family {
 			return []Family{{
@@ -27,12 +29,12 @@ func testOptions(h Health, tr *Trace) Options {
 				"c1": {State: "collecting", Round: 2},
 			}}
 		},
-		Rounds: tr.RecentRounds,
+		Spans: ring.Recent,
 	}
 }
 
 func TestMuxMetrics(t *testing.T) {
-	mux := NewMux(testOptions(Health{QueueLen: 42}, NewTrace(8)))
+	mux := NewMux(testOptions(Health{QueueLen: 42}, span.NewRing(8)))
 	rec := httptest.NewRecorder()
 	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	if rec.Code != http.StatusOK {
@@ -55,7 +57,7 @@ func TestMuxHealthz(t *testing.T) {
 		{Status: StatusSaturated, Serving: true, QueueLen: 95, QueueCap: 100, Saturation: 0.95},
 	}
 	for _, h := range cases {
-		mux := NewMux(testOptions(h, NewTrace(8)))
+		mux := NewMux(testOptions(h, span.NewRing(8)))
 		rec := httptest.NewRecorder()
 		mux.ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
 		if rec.Code != http.StatusOK {
@@ -81,7 +83,7 @@ func TestMuxReadyz(t *testing.T) {
 		{Health{Status: StatusSaturated, Serving: true, QueueLen: 95, QueueCap: 100, Saturation: 0.95}, http.StatusServiceUnavailable},
 	}
 	for _, c := range cases {
-		mux := NewMux(testOptions(c.health, NewTrace(8)))
+		mux := NewMux(testOptions(c.health, span.NewRing(8)))
 		rec := httptest.NewRecorder()
 		mux.ServeHTTP(rec, httptest.NewRequest("GET", "/readyz", nil))
 		if rec.Code != c.code {
@@ -165,37 +167,64 @@ func TestMuxReadyzGoldenBody(t *testing.T) {
 }
 
 func TestMuxDebugRounds(t *testing.T) {
-	tr := NewTrace(8)
-	for i := 0; i < 6; i++ {
-		tr.Record(Event{Kind: KindPhase, Campaign: "c1", Round: i + 1, Phase: "collecting"})
+	// Three rounds' worth of spans interleaved with solver and agent spans;
+	// /debug/rounds serves only the round-level ones, oldest first.
+	ring := span.NewRing(64)
+	tr := span.New(ring)
+	var want []string
+	for r := 1; r <= 3; r++ {
+		rd := tr.Start(span.NameRound).Tag("c1", r)
+		tr.Start(span.NameAgentSession).End()
+		for _, name := range []string{span.NamePhaseCollecting, span.NamePhaseComputing} {
+			rd.Child(name).End()
+			want = append(want, fmt.Sprintf("%s/%d", name, r))
+		}
+		wd := rd.Child(span.NameWD)
+		wd.Child(span.NameKnapsackSolve).End()
+		wd.End()
+		rd.Child(span.NamePhaseSettling).End()
+		rd.End()
+		want = append(want, fmt.Sprintf("%s/%d", span.NameWD, r),
+			fmt.Sprintf("%s/%d", span.NamePhaseSettling, r), fmt.Sprintf("%s/%d", span.NameRound, r))
 	}
-	mux := NewMux(testOptions(Health{Status: StatusOK}, tr))
+	mux := NewMux(testOptions(Health{Status: StatusOK}, ring))
+
+	get := func(query string) []string {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/rounds"+query, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("/debug/rounds%s status %d", query, rec.Code)
+		}
+		var recs []span.Record
+		if err := json.Unmarshal(rec.Body.Bytes(), &recs); err != nil {
+			t.Fatalf("bad /debug/rounds JSON: %v", err)
+		}
+		var got []string
+		for _, r := range recs {
+			got = append(got, fmt.Sprintf("%s/%d", r.Name, r.Round))
+		}
+		return got
+	}
+	if got := get(""); !reflect.DeepEqual(got, want) {
+		t.Errorf("/debug/rounds = %v, want %v", got, want)
+	}
+	if got := get("?n=2"); !reflect.DeepEqual(got, want[len(want)-2:]) {
+		t.Errorf("?n=2 returned %v, want %v", got, want[len(want)-2:])
+	}
 
 	rec := httptest.NewRecorder()
-	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/rounds?n=2", nil))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("/debug/rounds status %d", rec.Code)
-	}
-	var events []Event
-	if err := json.Unmarshal(rec.Body.Bytes(), &events); err != nil {
-		t.Fatalf("bad /debug/rounds JSON: %v", err)
-	}
-	if len(events) != 2 || events[0].Round != 5 || events[1].Round != 6 {
-		t.Errorf("?n=2 returned %+v, want rounds 5 and 6", events)
-	}
-
-	rec = httptest.NewRecorder()
 	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/rounds?n=bogus", nil))
 	if rec.Code != http.StatusBadRequest {
 		t.Errorf("bad n: status %d, want 400", rec.Code)
 	}
 
-	// An empty trace must serve [] — not null — for JSON consumers.
-	mux = NewMux(testOptions(Health{Status: StatusOK}, NewTrace(8)))
+	// An empty ring must serve [] — not null — for JSON consumers.
+	mux = NewMux(testOptions(Health{Status: StatusOK}, span.NewRing(8)))
 	rec = httptest.NewRecorder()
 	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/rounds", nil))
 	if body := strings.TrimSpace(rec.Body.String()); body != "[]" {
-		t.Errorf("empty trace body %q, want []", body)
+		t.Errorf("empty ring body %q, want []", body)
 	}
 }
 
@@ -253,7 +282,7 @@ func TestMuxDisabledEndpoints(t *testing.T) {
 }
 
 func TestServe(t *testing.T) {
-	srv, err := Serve("127.0.0.1:0", testOptions(Health{Status: StatusOK}, NewTrace(8)))
+	srv, err := Serve("127.0.0.1:0", testOptions(Health{Status: StatusOK}, span.NewRing(8)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,17 +6,17 @@ import "sync/atomic"
 const DefaultRingCapacity = 512
 
 // ringEntry pairs a record with its ring sequence number so readers can
-// detect slots overwritten mid-read, exactly like obs.Trace.
+// detect slots overwritten mid-read.
 type ringEntry struct {
 	seq uint64
 	rec *Record
 }
 
 // Ring is a bounded, lock-free sink holding the most recent span records —
-// the in-memory view behind the /debug/spans ops endpoint. Writers claim a
-// slot with one atomic increment and publish with one pointer store; the
-// ring overwrites its oldest entries once full, so memory stays bounded no
-// matter how long the producer lives.
+// the in-memory view behind the /debug/spans and /debug/rounds ops
+// endpoints. Writers claim a slot with one atomic increment and publish with
+// one pointer store; the ring overwrites its oldest entries once full, so
+// memory stays bounded no matter how long the producer lives.
 type Ring struct {
 	slots []atomic.Pointer[ringEntry]
 	mask  uint64

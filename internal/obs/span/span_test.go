@@ -136,6 +136,18 @@ func TestRecordJSONRoundTrip(t *testing.T) {
 	}
 }
 
+func TestRingCapacityRounding(t *testing.T) {
+	if got := NewRing(0).Cap(); got != DefaultRingCapacity {
+		t.Errorf("NewRing(0).Cap() = %d, want %d", got, DefaultRingCapacity)
+	}
+	if got := NewRing(100).Cap(); got != 128 {
+		t.Errorf("NewRing(100).Cap() = %d, want 128", got)
+	}
+	if got := NewRing(64).Cap(); got != 64 {
+		t.Errorf("NewRing(64).Cap() = %d, want 64", got)
+	}
+}
+
 func TestRingOverwriteAndRecent(t *testing.T) {
 	r := NewRing(4)
 	tr := New(r)

@@ -1,6 +1,6 @@
 #!/bin/sh
 # Pre-PR gate and the one list of its gates (`make check` runs this script):
-# gofmt, vet, build, the full test suite, race-enabled tests of every
+# gofmt, vet, build, no orphan internal package, the full test suite, race-enabled tests of every
 # concurrency-bearing package, a seed-corpus pass of the wire fuzz
 # targets, and a one-iteration smoke run of the solver benchmarks (which
 # exercises the optimized-vs-reference pairs end to end). The experiment
@@ -16,6 +16,17 @@ if [ -n "$unformatted" ]; then
 fi
 go vet ./...
 go build ./...
+# Orphan-package gate: every ./internal/... package needs a non-test
+# importer somewhere in the module. internal/placement is the one known
+# orphan; it is listed here until its own deletion change removes it.
+imports=$(mktemp)
+go list -f '{{join .Imports "\n"}}' ./... | sort -u >"$imports"
+orphans=$(go list ./internal/... | sort | comm -23 - "$imports" | grep -vx 'crowdsense/internal/placement' || true)
+rm -f "$imports"
+if [ -n "$orphans" ]; then
+	echo "internal packages with no non-test importer: $orphans" >&2
+	exit 1
+fi
 go test ./...
 go test -race ./internal/engine/... ./internal/obs/... ./internal/obs/span \
 	./internal/platform/... ./internal/agent/... ./internal/wire/... \
