@@ -8,18 +8,25 @@ GO ?= go
 # harnesses are excluded from the race pass only because their compute
 # sweeps exceed any reasonable gate under race instrumentation; their
 # concurrency (mechanism fan-out) is race-covered via these packages.
-RACE_PKGS = ./internal/engine/... ./internal/obs/... ./internal/obs/span \
+RACE_PKGS = ./internal/engine/... ./internal/obs/... \
 	./internal/platform/... ./internal/agent/... ./internal/wire/... \
 	./internal/store/... ./internal/cluster/... \
 	./internal/reputation/... ./internal/execution/... \
 	./internal/mechanism/... ./internal/knapsack/... ./internal/setcover/... \
 	./cmd/crowdsim
 
-# Solver and mechanism hot-path benchmarks, including the *Reference
-# baselines the optimized paths are compared against.
-BENCH_PKGS = ./internal/knapsack ./internal/setcover ./internal/mechanism
+# Packages whose go test micro-benchmarks `make bench` and `make check` run
+# once each: the solver and mechanism hot paths with the *Reference
+# baselines they are compared against, engine throughput and span journal,
+# cluster failover and rounds, the wire codecs, the span ring, auditor and
+# SLO evaluation, mobility fitting, and swarm fan-in. (The root package's
+# benchmarks are the paper's figure runs, not micro-benchmarks.) End-to-end
+# and per-layer numbers come from `bash perfbench/run.sh`.
+BENCH_PKGS = ./internal/knapsack ./internal/setcover ./internal/mechanism \
+	./internal/engine ./internal/cluster ./internal/wire ./internal/obs/span \
+	./internal/obs/audit ./internal/mobility ./cmd/crowdsim
 
-.PHONY: all build test race fuzz-seed bench bench-json check
+.PHONY: all build test race fuzz-seed bench check
 
 all: build
 
@@ -38,24 +45,20 @@ race:
 fuzz-seed:
 	$(GO) test -run 'Fuzz.*' ./internal/wire ./internal/store ./internal/cluster
 
+# One iteration of every micro-benchmark: proves each still compiles and
+# runs. Raise -benchtime for numbers.
 bench:
-	$(GO) test -run '^$$' -bench BenchmarkEngineThroughput -benchtime 3x ./internal/engine
 	$(GO) test -run '^$$' -bench . -benchtime 1x $(BENCH_PKGS)
-
-# Regenerate BENCH_solvers.json (optimized vs reference solver trajectory).
-bench-json:
-	sh scripts/bench_json.sh
 
 check:
 	sh scripts/check.sh
 
-# Crash-recovery differential plus a store-overhead benchmark smoke: kill a
-# WAL-backed engine mid-round, reopen the log, finish the campaign, and
-# require outcomes identical to an uninterrupted run.
+# Crash-recovery differential: kill a WAL-backed engine mid-round, reopen
+# the log, finish the campaign, and require outcomes identical to an
+# uninterrupted run.
 .PHONY: recovery-smoke
 recovery-smoke:
 	$(GO) test -run TestEngineCrashRecoveryDifferential ./internal/engine
-	$(GO) test -run '^$$' -bench BenchmarkEngineStoreOverhead -benchtime 3x ./internal/engine
 
 # Record a live journal, convert it to Chrome trace JSON, and validate the
 # result — the obsctl round-trip gate (TestRoundTrip drives a real engine).

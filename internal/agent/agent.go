@@ -43,10 +43,6 @@ type Config struct {
 	// sampled per round.
 	AutoType func(tasks []wire.TaskSpec) auction.Bid
 
-	// DeclaredPoS optionally overrides the declared PoS per task to model
-	// strategic misreporting; nil means truthful.
-	DeclaredPoS map[auction.TaskID]float64
-
 	// Seed drives the execution simulation.
 	Seed int64
 
@@ -155,7 +151,7 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 	}
 
 	// Compose the sealed bid on the intersection with the published tasks.
-	taskIDs, pos := s.intersect(cfg.TrueBid, cfg.DeclaredPoS)
+	taskIDs, pos := s.intersect(cfg.TrueBid)
 	if len(taskIDs) == 0 {
 		s.submitSpan(span.Str("error", "no_overlap"))
 		return res, errors.New("agent: no published task intersects the user's task set")
@@ -288,21 +284,16 @@ func (s *session) submitSpan(attrs ...span.Attr) {
 }
 
 // intersect composes a sealed bid's task list and PoS on the intersection of
-// bid's task set with the published tasks; declared overrides the PoS of the
-// tasks it names (strategic misreporting).
-func (s *session) intersect(bid auction.Bid, declared map[auction.TaskID]float64) ([]int, map[int]float64) {
+// bid's task set with the published tasks.
+func (s *session) intersect(bid auction.Bid) ([]int, map[int]float64) {
 	var taskIDs []int
 	pos := make(map[int]float64, len(bid.Tasks))
 	for _, id := range bid.Tasks {
 		if !s.published[id] {
 			continue
 		}
-		p := bid.PoS[id]
-		if d, ok := declared[id]; ok {
-			p = d
-		}
 		taskIDs = append(taskIDs, int(id))
-		pos[int(id)] = p
+		pos[int(id)] = bid.PoS[id]
 	}
 	return taskIDs, pos
 }

@@ -98,7 +98,7 @@ func RunBatch(ctx context.Context, cfg BatchConfig) (BatchResult, error) {
 	byUser := make(map[auction.UserID]carried, len(cfg.Bids))
 	for _, bid := range cfg.Bids {
 		res.Results[bid.User] = Result{Registered: true}
-		taskIDs, pos := s.intersect(bid, nil)
+		taskIDs, pos := s.intersect(bid)
 		if len(taskIDs) == 0 {
 			res.Rejected++
 			continue

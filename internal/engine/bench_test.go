@@ -11,7 +11,6 @@ import (
 	"crowdsense/internal/agent"
 	"crowdsense/internal/auction"
 	"crowdsense/internal/obs/span"
-	"crowdsense/internal/store"
 )
 
 // BenchmarkEngineThroughput measures end-to-end auction throughput: M
@@ -114,39 +113,31 @@ func benchEngineThroughput(b *testing.B, campaigns, agentsPer int) {
 	}
 }
 
-// BenchmarkEngineStoreOverhead is the durability budget gate, on
-// BenchmarkEngineThroughput's per-campaign shape (five agents per round over
-// loopback TCP): the WAL-backed engine must stay within 15% of the store-less
-// engine, and the in-memory store within 10% (noise) — group commit keeps
-// fsyncs off the round path, so the hot-path cost is one event encode per
-// transition. Floors compare against ceilings as in benchOverheadCompare, so
-// tripping the gate means systematic overhead, not scheduler jitter.
-func BenchmarkEngineStoreOverhead(b *testing.B) {
+// BenchmarkSpanJournal reports (without asserting) the added cost of a
+// durable JSONL journal sink on BenchmarkEngineThroughput's per-campaign
+// shape (five agents per round over loopback TCP), against
+// Config.DisableObservability. The journal's writer goroutine encodes and
+// persists off the round path, but on a small box its CPU and file IO still
+// compete with the auction, so its overhead_% tracks the disk more than the
+// span layer. The configurations run interleaved (journal, no-op, journal,
+// …) so load drift on the box hits both equally, and overhead_% compares
+// floors so one-off stalls stay out of it.
+func BenchmarkSpanJournal(b *testing.B) {
 	const passes = 3
 	dir := b.TempDir()
-	runs := 0
-	walRun := func() time.Duration {
-		runs++
-		w, _, err := store.OpenWAL(store.WALConfig{Dir: filepath.Join(dir, fmt.Sprintf("wal-%d", runs))})
+	var inst, noop []time.Duration
+	b.ResetTimer()
+	for i := 0; i < passes; i++ {
+		journal, err := span.OpenJournal(span.JournalConfig{
+			Path: filepath.Join(dir, fmt.Sprintf("spans-%d.jsonl", i)),
+		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		d := benchObsRunN(b, Config{Store: w}, 5)
-		if err := w.Close(); err != nil {
-			b.Fatal(err)
-		}
-		return d
+		inst = append(inst, benchRounds(b, Config{SpanSinks: []span.Sink{journal}}))
+		journal.Close()
+		noop = append(noop, benchRounds(b, Config{DisableObservability: true}))
 	}
-	var wal, mem, none []time.Duration
-	runSet := func() {
-		for i := 0; i < passes; i++ {
-			wal = append(wal, walRun())
-			mem = append(mem, benchObsRunN(b, Config{Store: store.NewMemStore()}, 5))
-			none = append(none, benchObsRunN(b, Config{}, 5))
-		}
-	}
-	b.ResetTimer()
-	runSet()
 	b.StopTimer()
 
 	floor := func(xs []time.Duration) time.Duration {
@@ -158,164 +149,17 @@ func BenchmarkEngineStoreOverhead(b *testing.B) {
 		}
 		return lo
 	}
-	ceil := func(xs []time.Duration) time.Duration {
-		hi := xs[0]
-		for _, d := range xs[1:] {
-			if d > hi {
-				hi = d
-			}
-		}
-		return hi
+	if base := floor(noop).Seconds(); base > 0 {
+		b.ReportMetric((floor(inst).Seconds()-base)/base*100, "overhead_%")
 	}
-	if floor(none) <= 0 {
-		return
-	}
-	walExceeds := func() bool { return floor(wal).Seconds() > ceil(none).Seconds()*1.15 }
-	memExceeds := func() bool { return floor(mem).Seconds() > ceil(none).Seconds()*1.10 }
-	if b.N >= 50 {
-		for retry := 0; retry < 2 && (walExceeds() || memExceeds()); retry++ {
-			runSet()
-		}
-		if walExceeds() {
-			b.Errorf("WAL overhead exceeds 15%%: fastest WAL run %v vs slowest store-less %v over %d rounds",
-				floor(wal), ceil(none), b.N)
-		}
-		if memExceeds() {
-			b.Errorf("MemStore overhead exceeds 10%%: fastest mem run %v vs slowest store-less %v over %d rounds",
-				floor(mem), ceil(none), b.N)
-		}
-	}
-	base := floor(none).Seconds()
-	b.ReportMetric((floor(wal).Seconds()-base)/base*100, "wal_overhead_%")
-	b.ReportMetric((floor(mem).Seconds()-base)/base*100, "mem_overhead_%")
 }
 
-// BenchmarkObsOverhead measures the cost of the live telemetry layer:
-// per-campaign counters and histograms (SpanRingCapacity -1 keeps the
-// lifecycle span layer out, whose own budget BenchmarkSpanOverhead gates),
-// against Config.DisableObservability — the no-op sink. The timed
-// portion (ns/op) is the instrumented run; the no-op run is measured
-// separately and the floor-to-floor delta reported as overhead_%. The
-// overhead is asserted to stay within 10% once there are enough rounds to
-// average scheduler noise (b.N ≥ 50); loopback TCP wall time on a busy box
-// jitters more than the whole instrumentation cost, so the assertion
-// compares worst-case-vs-best-case rather than floors.
-func BenchmarkObsOverhead(b *testing.B) {
-	benchOverheadCompare(b, "observability",
-		func() time.Duration { return benchObsRun(b, Config{SpanRingCapacity: -1}) },
-		func() time.Duration { return benchObsRun(b, Config{DisableObservability: true}) })
-}
-
-// BenchmarkSpanOverhead is the lifecycle-tracing budget gate: the default
-// engine configuration (metrics plus the span ring feeding /debug/spans)
-// against Config.DisableObservability (nil tracer, one nil check per span
-// op), on BenchmarkEngineThroughput's per-campaign shape — five agents per
-// round over loopback TCP. The instrumented floor must stay within 10% of
-// the no-op ceiling; scripts/check.sh smokes this benchmark.
-func BenchmarkSpanOverhead(b *testing.B) {
-	benchOverheadCompare(b, "span tracing",
-		func() time.Duration { return benchObsRunN(b, Config{}, 5) },
-		func() time.Duration { return benchObsRunN(b, Config{DisableObservability: true}, 5) })
-}
-
-// BenchmarkSpanJournal reports (without asserting) the added cost of a
-// durable JSONL journal sink on the same workload. The journal's writer
-// goroutine encodes and persists off the round path, but on a small box its
-// CPU and file IO still compete with the auction, so its overhead_% tracks
-// the disk more than the span layer; the budget gate above deliberately
-// excludes it.
-func BenchmarkSpanJournal(b *testing.B) {
-	dir := b.TempDir()
-	runs := 0
-	benchOverheadCompare(b, "",
-		func() time.Duration {
-			runs++
-			journal, err := span.OpenJournal(span.JournalConfig{
-				Path: filepath.Join(dir, fmt.Sprintf("spans-%d.jsonl", runs)),
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer journal.Close()
-			return benchObsRunN(b, Config{SpanSinks: []span.Sink{journal}}, 5)
-		},
-		func() time.Duration { return benchObsRunN(b, Config{DisableObservability: true}, 5) })
-}
-
-// benchOverheadCompare times interleaved instrumented/no-op passes and
-// asserts the instrumented floor stays within 10% of the no-op ceiling.
-// The configurations run interleaved (instrumented, no-op, instrumented, …)
-// so load drift on the box hits both equally; the first pass pays runtime
-// warm-up, and comparing floors isolates the systematic overhead from
-// one-off stalls.
-func benchOverheadCompare(b *testing.B, what string, instRun, noopRun func() time.Duration) {
-	const passes = 3
-	var inst, noop []time.Duration
-	runSet := func() {
-		for i := 0; i < passes; i++ {
-			inst = append(inst, instRun())
-			noop = append(noop, noopRun())
-		}
-	}
-	b.ResetTimer()
-	runSet()
-	b.StopTimer()
-
-	floor := func(xs []time.Duration) time.Duration {
-		lo := xs[0]
-		for _, d := range xs[1:] {
-			if d < lo {
-				lo = d
-			}
-		}
-		return lo
-	}
-	ceil := func(xs []time.Duration) time.Duration {
-		hi := xs[0]
-		for _, d := range xs[1:] {
-			if d > hi {
-				hi = d
-			}
-		}
-		return hi
-	}
-	if floor(noop) <= 0 {
-		return
-	}
-
-	// The failure condition compares the fastest instrumented run against
-	// the slowest no-op run: jitter widens that gap in the passing
-	// direction, so tripping it means systematic overhead, not noise. A
-	// sustained stall can still span one whole set of passes, so a tripped
-	// condition gets up to two fresh sets to clear itself before failing.
-	exceeds := func() bool {
-		return floor(inst).Seconds() > ceil(noop).Seconds()*1.10
-	}
-	// An empty what means report-only: the metric is published but nothing
-	// is asserted.
-	if b.N >= 50 && what != "" {
-		for retry := 0; retry < 2 && exceeds(); retry++ {
-			runSet()
-		}
-		if exceeds() {
-			b.Errorf("%s overhead exceeds 10%%: fastest instrumented %v vs slowest no-op %v over %d rounds",
-				what, floor(inst), ceil(noop), b.N)
-		}
-	}
-	overhead := (floor(inst).Seconds() - floor(noop).Seconds()) / floor(noop).Seconds() * 100
-	b.ReportMetric(overhead, "overhead_%")
-}
-
-// benchObsRun drives one engine through b.N single-task rounds with three
-// agents each and returns the wall time of the round loop. cfg selects the
-// observability configuration under test; timeouts and the round signal are
+// benchRounds drives one engine through b.N single-task rounds with five
+// agents each and returns the wall time of the round loop. cfg
+// selects the configuration under test; timeouts and the round signal are
 // filled in here.
-func benchObsRun(b *testing.B, cfg Config) time.Duration {
-	return benchObsRunN(b, cfg, 3)
-}
-
-// benchObsRunN is benchObsRun with a configurable number of agents per round.
-func benchObsRunN(b *testing.B, cfg Config, agentsPer int) time.Duration {
+func benchRounds(b *testing.B, cfg Config) time.Duration {
+	const agentsPer = 5
 	roundDone := make(chan struct{}, 1)
 	cfg.ConnTimeout = 30 * time.Second
 	cfg.OnRound = func(r RoundResult) {

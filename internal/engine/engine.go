@@ -77,16 +77,10 @@ type Config struct {
 
 	// SpanSinks attaches additional sinks (typically a durable span.Journal)
 	// to the engine's lifecycle tracer. The in-memory ring behind
-	// /debug/spans is attached by default; sinks listed here receive the
-	// same records. Ignored when DisableObservability is set.
+	// /debug/spans (span.DefaultRingCapacity records) is always attached;
+	// sinks listed here receive the same records. Ignored when
+	// DisableObservability is set.
 	SpanSinks []span.Sink
-
-	// SpanRingCapacity bounds the in-memory span ring (records, rounded up
-	// to a power of two). Zero means span.DefaultRingCapacity; negative
-	// disables the ring, and with it /debug/spans and /debug/rounds — with
-	// no SpanSinks either, the engine runs with a nil tracer and keeps only
-	// metrics.
-	SpanRingCapacity int
 
 	// DisableObservability turns the metrics and tracing layer into a no-op
 	// sink: no counters, histograms, or spans are recorded. Exists
@@ -96,17 +90,13 @@ type Config struct {
 
 	// Reputation, if set, closes the learning loop: the engine feeds it
 	// every emitted event (before the durable store, so in-memory engines
-	// learn too), uses it as the winner-determination PoS adjuster when
-	// Adjuster is nil, and emits a durable reputation_checkpoint event after
-	// every settled round so recovery and failover resume with identical
-	// learned state. Observe runs under the engine lock; the store's own
-	// RWMutex is a leaf, so the ordering is safe.
+	// learn too), uses it as the winner-determination PoS adjuster (see
+	// mechanism.PoSAdjuster), and emits a durable reputation_checkpoint
+	// event after every settled round so recovery and failover resume with
+	// identical learned state. Observe runs under the engine lock; the
+	// store's own RWMutex is a leaf, so the ordering is safe. Nil runs
+	// winner determination on declared PoS unchanged.
 	Reputation *reputation.Store
-
-	// Adjuster, if set, overrides the PoS adjuster handed to each round's
-	// mechanism (see mechanism.PoSAdjuster). Nil falls back to Reputation;
-	// both nil runs winner determination on declared PoS unchanged.
-	Adjuster mechanism.PoSAdjuster
 
 	// AuditStatus, if set, supplies the live auditor's summary for the
 	// engine's Readiness report: degraded campaigns are flagged and the
@@ -139,12 +129,10 @@ func (c Config) queueDepth() int {
 	return 256
 }
 
-// adjuster resolves the PoS adjuster for winner determination: an explicit
-// Adjuster wins, else the reputation store, else none.
+// adjuster resolves the PoS adjuster for winner determination: the
+// reputation store, else none. A nil store must come back as a nil
+// interface, not a non-nil PoSAdjuster wrapping a nil *reputation.Store.
 func (c Config) adjuster() mechanism.PoSAdjuster {
-	if c.Adjuster != nil {
-		return c.Adjuster
-	}
 	if c.Reputation != nil {
 		return c.Reputation
 	}
@@ -208,11 +196,8 @@ func New(cfg Config) *Engine {
 		allClosed: make(chan struct{}),
 	}
 	if !cfg.DisableObservability {
-		sinks := cfg.SpanSinks
-		if cfg.SpanRingCapacity >= 0 {
-			e.spanRing = span.NewRing(cfg.SpanRingCapacity)
-			sinks = append([]span.Sink{e.spanRing}, sinks...)
-		}
+		e.spanRing = span.NewRing(span.DefaultRingCapacity)
+		sinks := append([]span.Sink{e.spanRing}, cfg.SpanSinks...)
 		e.spans = span.New(sinks...).SetNode(cfg.NodeID)
 	}
 	return e

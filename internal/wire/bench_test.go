@@ -19,8 +19,10 @@ func benchBid(n int) *Envelope {
 
 // BenchmarkWireCodec measures one full envelope round trip (encode, frame,
 // decode) per op for each codec on the bid shape. The JSON/Binary pair is
-// the before/after of the fan-in transport overhaul; BENCH_wire.json
-// records the ratio.
+// the before/after of the fan-in transport overhaul; measure the ratio with
+// go test -run '^$' -bench 'BenchmarkWireCodec(Batch)?$' -benchtime 1000x
+// ./internal/wire. perfbench's wire.* metrics attribute codec time and
+// bytes per round on real sockets (bash perfbench/run.sh).
 func BenchmarkWireCodec(b *testing.B) {
 	env := benchBid(16)
 	b.Run("JSON", func(b *testing.B) {

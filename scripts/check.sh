@@ -1,12 +1,11 @@
 #!/bin/sh
 # Pre-PR gate and the one list of its gates (`make check` runs this script):
 # gofmt, vet, build, no orphan internal package, the full test suite, race-enabled tests of every
-# concurrency-bearing package, a seed-corpus pass of the wire fuzz
-# targets, and a one-iteration smoke run of the solver benchmarks (which
-# exercises the optimized-vs-reference pairs end to end). The experiment
-# harnesses are excluded from the race pass only because their compute
-# sweeps exceed any reasonable gate under race instrumentation; their
-# concurrency is race-covered via these packages.
+# concurrency-bearing package (`make race`), a seed-corpus pass of the wire
+# fuzz targets, and a one-iteration smoke run of every micro-benchmark
+# package (`make bench`; it exercises the optimized-vs-reference solver
+# pairs end to end). The package lists live only in the Makefile. Run it
+# from the repo root.
 set -eux
 
 unformatted=$(gofmt -l .)
@@ -28,27 +27,16 @@ if [ -n "$orphans" ]; then
 	exit 1
 fi
 go test ./...
-go test -race ./internal/engine/... ./internal/obs/... ./internal/obs/span \
-	./internal/platform/... ./internal/agent/... ./internal/wire/... \
-	./internal/store/... ./internal/cluster/... \
-	./internal/reputation/... ./internal/execution/... \
-	./internal/mechanism/... ./internal/knapsack/... ./internal/setcover/... \
-	./cmd/crowdsim
+make --no-print-directory race
 go test -run 'Fuzz.*' ./internal/wire ./internal/store ./internal/cluster
-go test -run '^$' -bench . -benchtime 1x ./internal/knapsack ./internal/setcover ./internal/mechanism
-# Lifecycle-tracing gates: the obsctl round-trip (record a live journal,
-# convert to Chrome trace JSON, validate) and a smoke run of the span
-# overhead benchmark (the ≤10% assertion engages at b.N >= 50; 3x here
-# just proves the harness runs).
+make --no-print-directory bench
+# Lifecycle-tracing gate: the obsctl round-trip (record a live journal,
+# convert to Chrome trace JSON, validate).
 go test -run TestRoundTrip ./cmd/obsctl
-go test -run '^$' -bench BenchmarkSpanOverhead -benchtime 3x ./internal/engine
-# Durability gates: the crash-recovery differential (kill a WAL-backed
+# Durability gate: the crash-recovery differential (kill a WAL-backed
 # engine mid-round, reopen, finish — outcomes must match an uninterrupted
-# run) and a smoke run of the store overhead benchmark (the ≤15% WAL /
-# ≤10% MemStore assertions engage at b.N >= 50; 3x just proves the
-# harness runs).
+# run).
 go test -run TestEngineCrashRecoveryDifferential ./internal/engine
-go test -run '^$' -bench BenchmarkEngineStoreOverhead -benchtime 3x ./internal/engine
 # Audit gates: the offline-audit smoke (a live engine's event-derived
 # journal audits clean, a tampered copy is flagged with exit 1) and a smoke
 # run of the live auditor's overhead benchmark (the ≤10% assertion engages
