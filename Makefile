@@ -46,9 +46,11 @@ fuzz-seed:
 	$(GO) test -run 'Fuzz.*' ./internal/wire ./internal/store ./internal/cluster
 
 # One iteration of every micro-benchmark: proves each still compiles and
-# runs. Raise -benchtime for numbers.
+# runs. -short trims the *Reference solver baselines to their n < 100
+# sizes; a plain `go test -bench` runs every size. Raise -benchtime (and
+# drop -short) for numbers.
 bench:
-	$(GO) test -run '^$$' -bench . -benchtime 1x $(BENCH_PKGS)
+	$(GO) test -short -run '^$$' -bench . -benchtime 1x $(BENCH_PKGS)
 
 check:
 	sh scripts/check.sh

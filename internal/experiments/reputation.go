@@ -8,15 +8,19 @@ import (
 	"crowdsense/internal/mechanism"
 	"crowdsense/internal/reputation"
 	"crowdsense/internal/stats"
+	"crowdsense/internal/store"
+	"crowdsense/internal/wire"
 )
 
 // RunReputation plays repeated single-task auctions against a fixed cohort
 // in which 30% of users systematically over-claim (declaring double their
-// true contribution). The platform discounts declarations by its learned
-// per-user reliability before allocating, and updates the estimates from
-// winners' execution outcomes. The series show the reliability estimates
-// separating the cohorts and the achieved task PoS recovering as the
-// platform stops trusting the over-claimers.
+// true contribution). The mechanism discounts declarations by the learned
+// per-user reliability (a reputation.Store installed as its Adjuster, as
+// the engine installs it) before allocating, and winners' execution
+// outcomes reach the Store as the event sequence the engine emits for a
+// settled round. The series show the reliability
+// estimates separating the cohorts and the achieved task PoS recovering as
+// the platform stops trusting the over-claimers.
 //
 // This is the repeated-game counterpart of the one-shot mechanisms: the
 // paper's strategy-proofness removes the *incentive* to lie, and
@@ -29,13 +33,14 @@ func (e *Env) RunReputation() (*Result, error) {
 		rounds      = 100
 		requirement = 0.8
 		taskID      = auction.TaskID(1)
+		campaign    = "ext-reputation"
 	)
 	rng := e.rng(108)
-	tracker, err := reputation.NewTracker(0)
+	rep, err := reputation.NewStore(reputation.StoreConfig{})
 	if err != nil {
 		return nil, err
 	}
-	m := &mechanism.SingleTask{Epsilon: 0.5, Alpha: mechanism.DefaultAlpha}
+	m := &mechanism.SingleTask{Epsilon: 0.5, Alpha: mechanism.DefaultAlpha, Adjuster: rep}
 
 	overClaimer := make([]bool, cohort)
 	for i := range overClaimer {
@@ -64,13 +69,12 @@ func (e *Env) RunReputation() (*Result, error) {
 			}
 		}
 
-		// The platform allocates against reliability-discounted bids.
+		// The mechanism discounts the declared bids through rep before
+		// allocating.
 		bids := make([]auction.Bid, cohort)
 		for i := range bids {
-			user := auction.UserID(i + 1)
-			adj := tracker.Discount(user, declared[i])
-			bids[i] = auction.NewBid(user, []auction.TaskID{taskID}, costs[i],
-				map[auction.TaskID]float64{taskID: adj})
+			bids[i] = auction.NewBid(auction.UserID(i+1), []auction.TaskID{taskID}, costs[i],
+				map[auction.TaskID]float64{taskID: declared[i]})
 		}
 		a, err := auction.New([]auction.Task{{ID: taskID, Requirement: requirement}}, bids)
 		if err != nil {
@@ -93,12 +97,16 @@ func (e *Env) RunReputation() (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, at := range attempts {
-			user := auction.UserID(at.BidIndex + 1)
-			if err := tracker.Observe(user, declared[at.BidIndex], at.AnySuccess()); err != nil {
-				return nil, err
-			}
+		// Declared bids, then outcomes, committed at round_settled.
+		rep.Observe(store.Event{Type: store.EventRoundOpened, Campaign: campaign, Round: round})
+		for i := range bids {
+			rep.Observe(store.Event{Type: store.EventBidAdmitted, Campaign: campaign, Round: round, Bid: &bids[i]})
 		}
+		for _, at := range attempts {
+			rep.Observe(store.Event{Type: store.EventReportReceived, Campaign: campaign, Round: round,
+				User: at.BidIndex + 1, Settle: &wire.Settle{Success: at.AnySuccess()}})
+		}
+		rep.Observe(store.Event{Type: store.EventRoundSettled, Campaign: campaign, Round: round})
 		perTask, err := execution.AchievedPoS(a.Tasks, trueBids, out.Selected)
 		if err != nil {
 			return nil, err
@@ -106,7 +114,7 @@ func (e *Env) RunReputation() (*Result, error) {
 
 		var hAcc, oAcc stats.Accumulator
 		for i := range overClaimer {
-			r := tracker.Reliability(auction.UserID(i + 1))
+			r := rep.Reliability(auction.UserID(i + 1))
 			if overClaimer[i] {
 				oAcc.Add(r)
 			} else {

@@ -29,9 +29,12 @@ func BenchmarkSolveFPTAS(b *testing.B) {
 
 // BenchmarkSolveFPTASReference benchmarks the retained seed implementation
 // on the same instances, as the baseline the optimized Solver is measured
-// against.
+// against. Under -short (the `make bench` smoke) only n < 100 runs.
 func BenchmarkSolveFPTASReference(b *testing.B) {
 	for _, n := range []int{20, 50, 100, 200} {
+		if testing.Short() && n >= 100 {
+			continue
+		}
 		for _, eps := range []float64{0.1, 0.5} {
 			in := benchInstance(n, int64(n))
 			b.Run(fmt.Sprintf("n=%d/eps=%g", n, eps), func(b *testing.B) {

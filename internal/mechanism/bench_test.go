@@ -24,9 +24,13 @@ func BenchmarkSingleTaskRun(b *testing.B) {
 
 // BenchmarkSingleTaskRunReference runs the full mechanism through the
 // retained seed solver (serial, per-probe instance rebuilds): the baseline
-// the optimized path's speedup is measured against.
+// the optimized path's speedup is measured against. Under -short (the
+// `make bench` smoke) only n < 100 runs: n=200 alone takes minutes.
 func BenchmarkSingleTaskRunReference(b *testing.B) {
 	for _, n := range []int{20, 50, 100, 200} {
+		if testing.Short() && n >= 100 {
+			continue
+		}
 		a := randomSingleAuction(stats.NewRand(int64(n)), n, 0.8)
 		m := &SingleTask{Epsilon: 0.5, Alpha: 10, Parallelism: 1, useReference: true}
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -64,7 +68,8 @@ func BenchmarkMultiTaskRun(b *testing.B) {
 }
 
 // BenchmarkMultiTaskRunReference is the seed baseline: reference greedy
-// cover and serial per-winner critical-bid searches.
+// cover and serial per-winner critical-bid searches. Under -short only
+// n < 100 runs.
 func BenchmarkMultiTaskRunReference(b *testing.B) {
 	for _, mode := range []struct {
 		name string
@@ -74,6 +79,9 @@ func BenchmarkMultiTaskRunReference(b *testing.B) {
 		{"scaled", CriticalBidScaled},
 	} {
 		for _, nt := range [][2]int{{50, 15}, {200, 20}} {
+			if testing.Short() && nt[0] >= 100 {
+				continue
+			}
 			a := randomMultiAuction(stats.NewRand(3), nt[0], nt[1], 0.8)
 			m := &MultiTask{Alpha: 10, CriticalBid: mode.mode, Parallelism: 1, useReference: true}
 			b.Run(fmt.Sprintf("n=%d/t=%d/%s", nt[0], nt[1], mode.name), func(b *testing.B) {

@@ -44,11 +44,15 @@ const DefaultAlpha = 10.0
 
 // PoSAdjuster rewrites declared per-task PoS values immediately before
 // winner determination — the hook the platform's reputation layer uses to
-// run the allocation on reliability-discounted declarations (r̂·p̂, capped)
-// while every payment still honors the declared contract: bid costs and
-// task sets pass through untouched, so social cost, the α reward gap,
-// individual rationality, and the budget bands platform.CheckRound audits
-// are all computed against the same declared costs as before.
+// run the mechanism on reliability-discounted declarations (r̂·p̂, capped).
+// Bid costs and task sets pass through untouched, so social cost and the
+// cost term of every reward stay declared. PoS does not stay declared in
+// the payments: Run replaces the auction with the adjusted one, so each
+// winner's critical PoS, the EC reward pair built from it and
+// ExpectedUtility are all computed on adjusted PoS. A winner is paid
+// against her adjusted threshold, not her threshold in declared terms,
+// which can make an over-claim profitable within a round (ROADMAP: "The
+// reputation discount breaks strategy-proofness within a round").
 //
 // Implementations must return a probability; values that are NaN or outside
 // [0, 1) are clamped into range. Mechanisms run on a worker pool, so

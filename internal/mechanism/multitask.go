@@ -54,8 +54,8 @@ type MultiTask struct {
 	// disables tracing at zero cost.
 	Trace *span.Span
 	// Adjuster, when non-nil, rewrites declared PoS before winner
-	// determination (see PoSAdjuster); costs and payments stay on the
-	// declared contract.
+	// determination (see PoSAdjuster). Costs stay declared; the critical
+	// PoS and the EC reward pair are computed on the adjusted PoS.
 	Adjuster PoSAdjuster
 
 	// useReference routes every cover through the retained seed

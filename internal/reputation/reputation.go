@@ -13,20 +13,16 @@
 // then discount future declarations by r̂ before running the auction,
 // restoring coverage against systematic over-claimers.
 //
-// Two consumers exist: Tracker is the original single-goroutine estimator
-// used by the offline experiment harnesses, and Store (store.go) is the
-// live, concurrency-safe subsystem that folds the engine's event stream,
-// checkpoints itself into the WAL, and discounts declarations at winner
-// determination through the mechanism.PoSAdjuster hook.
+// Store (store.go) is the one estimator: a concurrency-safe fold of the
+// engine's event stream that checkpoints itself into the WAL and discounts
+// declarations at winner determination through the mechanism.PoSAdjuster
+// hook. The offline experiment harness feeds it the same events.
 package reputation
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
-
-	"crowdsense/internal/auction"
 )
 
 // DefaultPriorStrength is the pseudo-evidence pulling estimates toward
@@ -37,16 +33,8 @@ const DefaultPriorStrength = 3.0
 // discounted PoS above the declaration by more than 20%.
 const maxReliability = 1.2
 
-// Typed validation errors, so callers can distinguish bad evidence from bad
-// configuration without string matching.
-var (
-	// ErrBadPoS rejects a declared PoS that is NaN or outside (0, 1): a
-	// 0-probability declaration carries no evidence and a certain one is
-	// outside the paper's model (auction bids already exclude PoS = 1).
-	ErrBadPoS = errors.New("reputation: declared PoS outside (0, 1)")
-	// ErrBadPrior rejects a NaN or negative prior pseudo-strength.
-	ErrBadPrior = errors.New("reputation: prior strength must be non-negative")
-)
+// ErrBadPrior rejects a NaN or negative prior pseudo-strength.
+var ErrBadPrior = errors.New("reputation: prior strength must be non-negative")
 
 // checkPrior validates a prior pseudo-strength, resolving 0 to the default.
 func checkPrior(priorStrength float64) (float64, error) {
@@ -59,55 +47,19 @@ func checkPrior(priorStrength float64) (float64, error) {
 	return priorStrength, nil
 }
 
-// checkDeclared validates one declared EC-trigger PoS observation.
-func checkDeclared(declaredPoS float64) error {
-	if math.IsNaN(declaredPoS) || declaredPoS <= 0 || declaredPoS >= 1 {
-		return fmt.Errorf("%w: got %g", ErrBadPoS, declaredPoS)
-	}
-	return nil
+// usableDeclaration reports whether a declared EC-trigger PoS can be held
+// against its outcome: a 0-probability declaration carries no evidence, a
+// certain one is outside the paper's model (auction bids already exclude
+// PoS = 1), and NaN is no declaration at all.
+func usableDeclaration(declaredPoS float64) bool {
+	return declaredPoS > 0 && declaredPoS < 1
 }
 
-// Tracker accumulates execution evidence per user. The zero value is not
-// usable; construct with NewTracker. Tracker is not safe for concurrent
-// use; callers serialize (the experiment harnesses observe outcomes between
-// rounds). The live platform uses Store instead.
-type Tracker struct {
-	prior float64
-	users map[auction.UserID]*evidence
-}
-
+// evidence accumulates one user's execution outcomes.
 type evidence struct {
 	successes    float64 // observed EC-trigger successes
 	declaredMass float64 // Σ declared success probabilities
 	observations int
-}
-
-// NewTracker creates a tracker; a zero priorStrength uses the default, a
-// negative or NaN one is rejected with ErrBadPrior.
-func NewTracker(priorStrength float64) (*Tracker, error) {
-	prior, err := checkPrior(priorStrength)
-	if err != nil {
-		return nil, err
-	}
-	return &Tracker{prior: prior, users: make(map[auction.UserID]*evidence)}, nil
-}
-
-// Observe records one round's outcome for a user: her declared success
-// probability for the EC trigger (the task's PoS in the single-task
-// setting; the combined any-task PoS in the multi-task setting) and whether
-// the trigger fired. Declarations that are NaN or outside (0, 1) are
-// rejected with ErrBadPoS.
-func (t *Tracker) Observe(user auction.UserID, declaredPoS float64, success bool) error {
-	if err := checkDeclared(declaredPoS); err != nil {
-		return err
-	}
-	ev := t.users[user]
-	if ev == nil {
-		ev = &evidence{}
-		t.users[user] = ev
-	}
-	ev.observe(declaredPoS, success)
-	return nil
 }
 
 func (ev *evidence) observe(declaredPoS float64, success bool) {
@@ -118,8 +70,8 @@ func (ev *evidence) observe(declaredPoS float64, success bool) {
 	ev.observations++
 }
 
-// reliability is the shared estimator: (successes + prior)/(mass + prior),
-// capped at maxReliability.
+// reliability is the estimator: (successes + prior)/(mass + prior), capped
+// at maxReliability. Unknown users (nil evidence) get exactly 1.
 func (ev *evidence) reliability(prior float64) float64 {
 	if ev == nil {
 		return 1
@@ -129,20 +81,6 @@ func (ev *evidence) reliability(prior float64) float64 {
 		return maxReliability
 	}
 	return r
-}
-
-// Reliability returns the smoothed estimate r̂ for the user, capped at
-// maxReliability. Unknown users get exactly 1 (declarations trusted).
-func (t *Tracker) Reliability(user auction.UserID) float64 {
-	return t.users[user].reliability(t.prior)
-}
-
-// Observations reports how many outcomes have been recorded for the user.
-func (t *Tracker) Observations(user auction.UserID) int {
-	if ev := t.users[user]; ev != nil {
-		return ev.observations
-	}
-	return 0
 }
 
 // discount clamps declaredPoS·r into the valid allocation range [0, 1).
@@ -155,58 +93,4 @@ func discount(declaredPoS, r float64) float64 {
 		return 1 - 1e-12
 	}
 	return p
-}
-
-// Discount scales a declared PoS by the user's estimated reliability,
-// clamped into [0, 1): the value the platform should feed the allocation
-// instead of the raw declaration.
-func (t *Tracker) Discount(user auction.UserID, declaredPoS float64) float64 {
-	return discount(declaredPoS, t.Reliability(user))
-}
-
-// DiscountBid rewrites a bid's PoS map through Discount, producing the
-// reliability-adjusted declaration the platform allocates against.
-func (t *Tracker) DiscountBid(bid auction.Bid) auction.Bid {
-	pos := make(map[auction.TaskID]float64, len(bid.PoS))
-	for id, p := range bid.PoS {
-		pos[id] = t.Discount(bid.User, p)
-	}
-	return auction.NewBid(bid.User, bid.Tasks, bid.Cost, pos)
-}
-
-// AdjustPoS implements the mechanism.PoSAdjuster hook: winner determination
-// sees declared PoS discounted by r̂.
-func (t *Tracker) AdjustPoS(user auction.UserID, _ auction.TaskID, declared float64) float64 {
-	return t.Discount(user, declared)
-}
-
-// UserReliability is one tracked user's estimate in a Snapshot.
-type UserReliability struct {
-	User         auction.UserID
-	Reliability  float64
-	Observations int
-}
-
-// Snapshot returns the tracked users, least reliable first (the operator's
-// watch list), ties broken by user ID.
-func (t *Tracker) Snapshot() []UserReliability {
-	out := make([]UserReliability, 0, len(t.users))
-	for user := range t.users {
-		out = append(out, UserReliability{
-			User:         user,
-			Reliability:  t.Reliability(user),
-			Observations: t.Observations(user),
-		})
-	}
-	sortWorstFirst(out)
-	return out
-}
-
-func sortWorstFirst(out []UserReliability) {
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Reliability != out[j].Reliability {
-			return out[i].Reliability < out[j].Reliability
-		}
-		return out[i].User < out[j].User
-	})
 }

@@ -9,50 +9,15 @@ import (
 	"crowdsense/internal/stats"
 )
 
-// mustTracker builds a tracker or fails the test.
-func mustTracker(t *testing.T, priorStrength float64) *Tracker {
-	t.Helper()
-	tr, err := NewTracker(priorStrength)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tr
+// observeRound feeds one settled round in which a single user declared
+// declaredPoS and either succeeded or failed.
+func observeRound(s *Store, round int, user auction.UserID, declaredPoS float64, success bool) {
+	feed(s, roundEvents("c", round,
+		map[auction.UserID]float64{user: declaredPoS},
+		map[auction.UserID]bool{user: success}))
 }
 
-func TestObserveValidation(t *testing.T) {
-	tr := mustTracker(t, 0)
-	cases := []struct {
-		name string
-		pos  float64
-	}{
-		{"zero", 0},
-		{"one", 1},
-		{"negative", -0.2},
-		{"above one", 1.4},
-		{"NaN", math.NaN()},
-		{"+Inf", math.Inf(1)},
-		{"-Inf", math.Inf(-1)},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			err := tr.Observe(1, c.pos, true)
-			if err == nil {
-				t.Fatalf("declared PoS %g should be rejected", c.pos)
-			}
-			if !errors.Is(err, ErrBadPoS) {
-				t.Errorf("error %v is not ErrBadPoS", err)
-			}
-		})
-	}
-	if err := tr.Observe(1, 0.5, true); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Observations(1) != 1 {
-		t.Errorf("observations = %d", tr.Observations(1))
-	}
-}
-
-func TestNewTrackerValidation(t *testing.T) {
+func TestNewStoreValidation(t *testing.T) {
 	cases := []struct {
 		name  string
 		prior float64
@@ -66,7 +31,7 @@ func TestNewTrackerValidation(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			tr, err := NewTracker(c.prior)
+			s, err := NewStore(StoreConfig{PriorStrength: c.prior})
 			if c.bad {
 				if err == nil {
 					t.Fatalf("prior %g should be rejected", c.prior)
@@ -79,25 +44,55 @@ func TestNewTrackerValidation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tr.prior <= 0 {
-				t.Errorf("resolved prior = %g, want positive", tr.prior)
+			if s.prior <= 0 {
+				t.Errorf("resolved prior = %g, want positive", s.prior)
 			}
 		})
 	}
-	if tr := mustTracker(t, 0); tr.prior != DefaultPriorStrength {
-		t.Errorf("zero prior resolved to %g, want default %g", tr.prior, DefaultPriorStrength)
+	if s := mustStore(t, StoreConfig{}); s.prior != DefaultPriorStrength {
+		t.Errorf("zero prior resolved to %g, want default %g", s.prior, DefaultPriorStrength)
+	}
+}
+
+// TestObserveValidation: a report whose admitted declaration is outside
+// (0, 1) carries no evidence the user can be held against, so Observe
+// commits nothing for it.
+func TestObserveValidation(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		pos  float64
+	}{
+		{"zero", 0},
+		{"one", 1},
+		{"negative", -0.2},
+		{"above one", 1.4},
+		{"NaN", math.NaN()},
+		{"+Inf", math.Inf(1)},
+		{"-Inf", math.Inf(-1)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := mustStore(t, StoreConfig{})
+			observeRound(s, 1, 1, c.pos, true)
+			if got := s.Observations(1); got != 0 {
+				t.Errorf("declared PoS %g committed %d observations, want 0", c.pos, got)
+			}
+			observeRound(s, 2, 1, 0.5, true)
+			if got := s.Observations(1); got != 1 {
+				t.Errorf("observations after a usable round = %d, want 1", got)
+			}
+		})
 	}
 }
 
 func TestUnknownUserTrusted(t *testing.T) {
-	tr := mustTracker(t, 0)
-	if r := tr.Reliability(42); r != 1 {
+	s := mustStore(t, StoreConfig{})
+	if r := s.Reliability(42); r != 1 {
 		t.Errorf("unknown reliability = %g, want 1", r)
 	}
-	if got := tr.Discount(42, 0.3); got != 0.3 {
+	if got := s.AdjustPoS(42, 1, 0.3); got != 0.3 {
 		t.Errorf("unknown discount changed the declaration: %g", got)
 	}
-	if tr.Observations(42) != 0 {
+	if s.Observations(42) != 0 {
 		t.Error("unknown user has observations")
 	}
 }
@@ -114,16 +109,13 @@ func TestEstimatorConverges(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			tr := mustTracker(t, 0)
+			s := mustStore(t, StoreConfig{})
 			const rounds = 3000
-			for i := 0; i < rounds; i++ {
+			for round := 1; round <= rounds; round++ {
 				declared := stats.Uniform(rng, 0.2, 0.9)
-				success := stats.Bernoulli(rng, declared*c.r)
-				if err := tr.Observe(7, declared, success); err != nil {
-					t.Fatal(err)
-				}
+				observeRound(s, round, 7, declared, stats.Bernoulli(rng, declared*c.r))
 			}
-			if got := tr.Reliability(7); math.Abs(got-c.r) > 0.05 {
+			if got := s.Reliability(7); math.Abs(got-c.r) > 0.05 {
 				t.Errorf("reliability = %g, want ≈ %g", got, c.r)
 			}
 		})
@@ -131,84 +123,67 @@ func TestEstimatorConverges(t *testing.T) {
 }
 
 func TestReliabilityCapped(t *testing.T) {
-	tr := mustTracker(t, 1)
+	s := mustStore(t, StoreConfig{PriorStrength: 1})
 	// A user who always succeeds despite declaring 0.1: raw estimate would
 	// blow past the cap.
-	for i := 0; i < 500; i++ {
-		if err := tr.Observe(1, 0.1, true); err != nil {
-			t.Fatal(err)
-		}
+	for round := 1; round <= 500; round++ {
+		observeRound(s, round, 1, 0.1, true)
 	}
-	if r := tr.Reliability(1); r != 1.2 {
+	if r := s.Reliability(1); r != 1.2 {
 		t.Errorf("reliability = %g, want the 1.2 cap", r)
 	}
 }
 
 func TestDiscountClamps(t *testing.T) {
-	tr := mustTracker(t, 1)
-	for i := 0; i < 500; i++ {
-		if err := tr.Observe(1, 0.9, true); err != nil {
-			t.Fatal(err)
-		}
+	s := mustStore(t, StoreConfig{PriorStrength: 1})
+	for round := 1; round <= 500; round++ {
+		observeRound(s, round, 1, 0.5, true)
 	}
 	// Reliability 1.2 × declared 0.9 would exceed 1: clamped below 1.
-	if p := tr.Discount(1, 0.9); p >= 1 {
+	if p := s.AdjustPoS(1, 1, 0.9); p >= 1 {
 		t.Errorf("discounted PoS %g not clamped below 1", p)
 	}
 }
 
-func TestDiscountBid(t *testing.T) {
-	tr := mustTracker(t, 1)
-	// Over-claimer: successes far below declarations.
-	for i := 0; i < 400; i++ {
-		if err := tr.Observe(5, 0.8, i%4 == 0); err != nil { // ~25% success on 0.8 claims
-			t.Fatal(err)
+func TestReportOrdersWorstFirst(t *testing.T) {
+	s := mustStore(t, StoreConfig{PriorStrength: 1})
+	for round := 1; round <= 200; round++ {
+		feed(s, roundEvents("c", round,
+			map[auction.UserID]float64{1: 0.8, 2: 0.8, 3: 0.8, 4: 0.8, 5: 0.8},
+			map[auction.UserID]bool{
+				1: true,           // reliable
+				2: round%5 == 0,   // unreliable
+				3: round%2 == 0,   // middling
+				4: round%2 == 0,   // ties with 3
+				5: round%5 == 0})) // ties with 2
+	}
+	rep := s.Report()
+	var order []int
+	for _, u := range rep.Users {
+		order = append(order, u.User)
+	}
+	want := []int{2, 5, 3, 4, 1}
+	if len(order) != len(want) {
+		t.Fatalf("report users = %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("report order = %v, want %v (worst first, ties by user ID)", order, want)
 		}
 	}
-	bid := auction.NewBid(5, []auction.TaskID{1, 2}, 10,
-		map[auction.TaskID]float64{1: 0.8, 2: 0.4})
-	adj := tr.DiscountBid(bid)
-	if adj.User != 5 || adj.Cost != 10 || len(adj.Tasks) != 2 {
-		t.Errorf("identity fields changed: %+v", adj)
-	}
-	r := tr.Reliability(5)
-	if r > 0.45 {
-		t.Fatalf("reliability = %g, expected heavy discount", r)
-	}
-	for id, p := range bid.PoS {
-		if math.Abs(adj.PoS[id]-p*r) > 1e-12 {
-			t.Errorf("task %d discount = %g, want %g", id, adj.PoS[id], p*r)
-		}
-	}
-}
-
-func TestSnapshotOrdersWorstFirst(t *testing.T) {
-	tr := mustTracker(t, 1)
-	for i := 0; i < 200; i++ {
-		_ = tr.Observe(1, 0.8, true)     // reliable
-		_ = tr.Observe(2, 0.8, i%5 == 0) // unreliable
-		_ = tr.Observe(3, 0.8, i%2 == 0) // middling
-	}
-	snap := tr.Snapshot()
-	if len(snap) != 3 {
-		t.Fatalf("snapshot size = %d", len(snap))
-	}
-	if snap[0].User != 2 || snap[2].User != 1 {
-		t.Errorf("snapshot order = %v, want worst first", snap)
-	}
-	for i := 1; i < len(snap); i++ {
-		if snap[i].Reliability < snap[i-1].Reliability {
-			t.Error("snapshot not ascending in reliability")
+	for i := 1; i < len(rep.Users); i++ {
+		if rep.Users[i].Reliability < rep.Users[i-1].Reliability {
+			t.Error("report not ascending in reliability")
 		}
 	}
 }
 
 func TestPriorPullsTowardOne(t *testing.T) {
-	weak := mustTracker(t, 0.5)
-	strong := mustTracker(t, 50)
-	for i := 0; i < 10; i++ {
-		_ = weak.Observe(1, 0.8, false)
-		_ = strong.Observe(1, 0.8, false)
+	weak := mustStore(t, StoreConfig{PriorStrength: 0.5})
+	strong := mustStore(t, StoreConfig{PriorStrength: 50})
+	for round := 1; round <= 10; round++ {
+		observeRound(weak, round, 1, 0.8, false)
+		observeRound(strong, round, 1, 0.8, false)
 	}
 	if weak.Reliability(1) >= strong.Reliability(1) {
 		t.Errorf("weak prior %g should discount faster than strong %g",

@@ -1,8 +1,6 @@
 package reputation
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -56,19 +54,18 @@ type observation struct {
 }
 
 // Store is the live learning layer: a concurrency-safe reliability
-// estimator that folds the engine's event stream — report_received carries
-// the realized EC-trigger outcome, round_settled commits the round's
-// evidence — and serves reliability-discounted PoS to winner determination
-// through the mechanism.PoSAdjuster hook.
+// estimator that folds the engine's event stream — bid_admitted carries the
+// declaration, report_received the realized EC-trigger outcome,
+// round_settled commits the round's evidence — and serves
+// reliability-discounted PoS to winner determination through the
+// mechanism.PoSAdjuster hook.
 //
-// Like the live auditor, it consumes events from either side of the
-// durability boundary: feed it synchronously on the emit path (engine
-// Config.Reputation, or store.Multi), or run Tail against a WAL to follow
-// the durable stream like a replica would. Both drive the same fold, and
-// because per-user evidence accrues in log order, a Store fed the same
-// event sequence always reaches the same state — Checkpoint is
-// byte-deterministic, which is what lets recovery and failover resume with
-// identical r̂.
+// Its one feed is Observe: the engine calls it synchronously on the emit
+// path (engine Config.Reputation), and the offline experiment harness calls
+// it with the same event sequence. Because per-user evidence accrues in log
+// order, a Store fed the same event sequence always reaches the same state —
+// Checkpoint is byte-deterministic, which is what lets recovery and failover
+// resume with identical r̂.
 type Store struct {
 	shard       string
 	reportUsers int
@@ -133,7 +130,7 @@ func (s *Store) Observe(ev store.Event) {
 		}
 		user := auction.UserID(ev.User)
 		declared, ok := f.declared[user]
-		if !ok || checkDeclared(declared) != nil {
+		if !ok || !usableDeclaration(declared) {
 			return // no usable declaration to hold the user against
 		}
 		f.staged = append(f.staged, observation{user: user, declared: declared, success: ev.Settle.Success})
@@ -157,62 +154,6 @@ func (s *Store) Observe(ev store.Event) {
 	}
 }
 
-// Append implements store.Store: the reputation store can sit inside a
-// store.Multi fan-out and see every event synchronously on the emit path.
-// It never fails — learning must not be able to void a round.
-func (s *Store) Append(ev store.Event) error {
-	s.Observe(ev)
-	return nil
-}
-
-// Commit implements store.Store (no durability to flush; checkpoints ride
-// the engine's event stream instead).
-func (s *Store) Commit() error { return nil }
-
-// Close implements store.Store.
-func (s *Store) Close() error { return nil }
-
-// Tail follows a WAL's durable event stream from fromSeq, folding every
-// batch — the same consumer position a replica would hold. When fromSeq has
-// been compacted away it resumes from the durable horizon: evidence the log
-// no longer holds is exactly what checkpoints exist for. Tail blocks until
-// ctx is cancelled or the WAL closes, returning nil on either; any other
-// stream error is returned. Run it in a goroutine.
-func (s *Store) Tail(ctx context.Context, w *store.WAL, fromSeq uint64) error {
-	str, err := w.Stream(fromSeq)
-	if errors.Is(err, store.ErrCompacted) {
-		str, err = w.Stream(w.LastSeq())
-	}
-	if err != nil {
-		return err
-	}
-	defer str.Close()
-
-	// Recv blocks on the WAL's condition variable; unblock it on cancel.
-	done := make(chan struct{})
-	defer close(done)
-	go func() {
-		select {
-		case <-ctx.Done():
-			str.Close()
-		case <-done:
-		}
-	}()
-
-	for {
-		events, err := str.Recv()
-		if err != nil {
-			if ctx.Err() != nil || errors.Is(err, store.ErrStreamClosed) || errors.Is(err, store.ErrWALClosed) {
-				return nil
-			}
-			return err
-		}
-		for _, ev := range events {
-			s.Observe(ev)
-		}
-	}
-}
-
 // Reliability returns the smoothed estimate r̂ for the user, capped;
 // unknown users get exactly 1.
 func (s *Store) Reliability(user auction.UserID) float64 {
@@ -231,9 +172,10 @@ func (s *Store) Observations(user auction.UserID) int {
 	return 0
 }
 
-// AdjustPoS implements mechanism.PoSAdjuster: winner determination runs on
-// r̂·p̂, clamped into [0, 1), while the declared bid — and with it every
-// payment — is untouched. Safe for concurrent use with the event fold.
+// AdjustPoS implements mechanism.PoSAdjuster: the mechanism runs on r̂·p̂,
+// clamped into [0, 1). Costs stay declared, but the critical PoS and the EC
+// reward pair are computed on the adjusted PoS too (see the mechanism's
+// PoSAdjuster doc). Safe for concurrent use with the event fold.
 func (s *Store) AdjustPoS(user auction.UserID, _ auction.TaskID, declared float64) float64 {
 	return discount(declared, s.Reliability(user))
 }
@@ -292,22 +234,6 @@ func (s *Store) Restore(cp *store.ReputationCheckpoint) error {
 	s.rounds = make(map[string]*roundFold)
 	s.observations = total
 	return nil
-}
-
-// Snapshot returns the tracked users, least reliable first.
-func (s *Store) Snapshot() []UserReliability {
-	s.mu.RLock()
-	out := make([]UserReliability, 0, len(s.users))
-	for user, ev := range s.users {
-		out = append(out, UserReliability{
-			User:         user,
-			Reliability:  ev.reliability(s.prior),
-			Observations: ev.observations,
-		})
-	}
-	s.mu.RUnlock()
-	sortWorstFirst(out)
-	return out
 }
 
 // Report builds the /debug/reputation payload: headline counters plus the

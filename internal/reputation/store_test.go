@@ -1,13 +1,11 @@
 package reputation
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"math"
 	"sync"
 	"testing"
-	"time"
 
 	"crowdsense/internal/auction"
 	"crowdsense/internal/store"
@@ -202,51 +200,6 @@ func TestStoreCheckpointRestoreRoundtrip(t *testing.T) {
 	}
 }
 
-func TestStoreTailFollowsWAL(t *testing.T) {
-	w, _, err := store.OpenWAL(store.WALConfig{Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-
-	s := mustStore(t, StoreConfig{})
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	done := make(chan error, 1)
-	go func() { done <- s.Tail(ctx, w, 0) }()
-
-	evs := []store.Event{{Type: store.EventCampaignRegistered, Campaign: "c",
-		Spec: &store.CampaignSpec{ID: "c", Tasks: []auction.Task{{ID: 1, Requirement: 0.6}},
-			ExpectedBidders: 1, Rounds: 1}}}
-	evs = append(evs, roundEvents("c", 1,
-		map[auction.UserID]float64{7: 0.8},
-		map[auction.UserID]bool{7: false})...)
-	for _, ev := range evs {
-		if err := w.Append(ev); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Commit(); err != nil {
-		t.Fatal(err)
-	}
-
-	deadline := time.Now().Add(10 * time.Second)
-	for s.Observations(7) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("tail never folded the settled round")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	want := DefaultPriorStrength / (0.8 + DefaultPriorStrength)
-	if got := s.Reliability(7); math.Abs(got-want) > 1e-12 {
-		t.Errorf("tailed reliability = %v, want %v", got, want)
-	}
-	cancel()
-	if err := <-done; err != nil {
-		t.Errorf("Tail returned %v after cancel, want nil", err)
-	}
-}
-
 func TestStoreReportAndFamilies(t *testing.T) {
 	s := mustStore(t, StoreConfig{Shard: "s1", ReportUsers: 1})
 	feed(s, roundEvents("c", 1,
@@ -291,8 +244,8 @@ func TestStoreReportAndFamilies(t *testing.T) {
 	}
 }
 
-// TestStoreConcurrentFoldAndRead exercises the fold, the adjuster, and the
-// snapshot paths concurrently — meaningful under -race.
+// TestStoreConcurrentFoldAndRead exercises the fold, the adjuster, the
+// checkpoint, and the report paths concurrently — meaningful under -race.
 func TestStoreConcurrentFoldAndRead(t *testing.T) {
 	s := mustStore(t, StoreConfig{})
 	var wg sync.WaitGroup
@@ -317,7 +270,6 @@ func TestStoreConcurrentFoldAndRead(t *testing.T) {
 			s.Checkpoint()
 			s.Report()
 			s.Families()
-			s.Snapshot()
 		}
 	}()
 	wg.Wait()

@@ -23,8 +23,12 @@ func BenchmarkGreedy(b *testing.B) {
 
 // BenchmarkGreedyReference benchmarks the retained seed implementation (full
 // rescan every round) on the same instances, as the lazy greedy's baseline.
+// Under -short (the `make bench` smoke) only n < 100 runs.
 func BenchmarkGreedyReference(b *testing.B) {
 	for _, nt := range [][2]int{{20, 10}, {50, 15}, {100, 30}, {200, 30}} {
+		if testing.Short() && nt[0] >= 100 {
+			continue
+		}
 		a := randomAuction(stats.NewRand(int64(nt[0])), nt[0], nt[1], 8, 0.8)
 		b.Run(fmt.Sprintf("n=%d/t=%d", nt[0], nt[1]), func(b *testing.B) {
 			b.ReportAllocs()
