@@ -55,6 +55,21 @@ bench:
 check:
 	sh scripts/check.sh
 
+# Production-symbol gate: the *Reference solvers are test oracles only, so
+# no production binary may link them. Builds platformd, crowdsim and
+# benchfig into a temp dir and fails if `go tool nm` lists a seed-solver
+# symbol in any of them.
+.PHONY: prod-symbols
+prod-symbols:
+	dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	for cmd in platformd crowdsim benchfig; do \
+		$(GO) build -o "$$dir/$$cmd" ./cmd/$$cmd || exit 1; \
+		$(GO) tool nm "$$dir/$$cmd" >"$$dir/$$cmd.nm" || exit 1; \
+		if grep -E 'SolveFPTASReference|solveScaledDPReference|GreedyReference' "$$dir/$$cmd.nm"; then \
+			echo "prod-symbols: $$cmd links a *Reference solver" >&2; exit 1; \
+		fi; \
+	done
+
 # Crash-recovery differential: kill a WAL-backed engine mid-round, reopen
 # the log, finish the campaign, and require outcomes identical to an
 # uninterrupted run.

@@ -107,7 +107,7 @@ func run(args []string) error {
 		metricsAddr = fs.String("metrics-addr", "", "serve /metrics, /healthz, /readyz, /debug/rounds, /debug/spans, /debug/audit, and pprof on this address (empty = off)")
 		auditFlag   = fs.Bool("audit", false, "run the live mechanism auditor: every settled round is checked against the paper's economic invariants (IR, budget, α reward gap, settlement arithmetic); violations degrade /readyz and surface on /debug/audit")
 		sloP99      = fs.String("slo-p99", "", "comma-separated span=duration p99 latency targets for the live auditor, e.g. round=250ms,phase.computing=50ms (a bare duration targets the round span); implies -audit")
-		repFlag     = fs.Bool("reputation", false, "close the learning loop: learn per-user reliability from execution outcomes, discount declared PoS at winner determination (payments stay on the declared contract), checkpoint the learned state into the WAL, and surface it on /metrics and /debug/reputation")
+		repFlag     = fs.Bool("reputation", false, "close the learning loop: learn per-user reliability from execution outcomes, run the mechanism on discounted PoS (costs stay declared, but critical PoS and the EC reward pair are priced on the discounted PoS; see ROADMAP, within-round strategy-proofness), checkpoint the learned state into the WAL, and surface it on /metrics and /debug/reputation")
 		repPrior    = fs.Float64("reputation-prior", 0, "reputation prior pseudo-strength pulling unknown users toward reliability 1 (0 = default)")
 		logLevel    = fs.String("log-level", "info", "log level: debug, info, warn, error")
 		version     = fs.Bool("version", false, "print version and exit")

@@ -298,8 +298,11 @@ func (c *campaign) runWinnerDetermination(rd *round) {
 
 // computeOutcome runs the paper's mechanism on the collected bids. The
 // mechanism emits its allocation and critical-bid spans under wd (a nil wd
-// disables them). A non-nil adj discounts declared PoS for winner
-// determination only; payments stay on the declared contract.
+// disables them). A non-nil adj discounts declared PoS before the
+// mechanism runs. Costs stay declared, but the mechanism prices the
+// critical PoS and the EC reward pair on the discounted PoS, which can
+// make an over-claim profitable within a round (ROADMAP: "The reputation
+// discount breaks strategy-proofness within a round").
 func computeOutcome(cc CampaignConfig, bids []auction.Bid, wd *span.Span,
 	adj mechanism.PoSAdjuster) (*mechanism.Outcome, error) {
 	a, err := auction.New(cc.Tasks, bids)

@@ -102,27 +102,3 @@ func (e *Env) RunTable3() (*Result, error) {
 		},
 	}, nil
 }
-
-// RunAll executes every harness in figure order and returns the results.
-// Individual harness failures abort the run: every artifact of the paper
-// must regenerate.
-func (e *Env) RunAll() ([]*Result, error) {
-	runs := []func() (*Result, error){
-		e.RunTable2, e.RunTable3,
-		e.RunFig3, e.RunFig4, e.RunFig5a, e.RunFig5b, e.RunFig5c,
-		e.RunFig6, e.RunFig7, e.RunFig8, e.RunFig9,
-		e.RunStrategyproofness,
-		e.RunAblationEpsilon, e.RunAblationHorizon, e.RunAblationCriticalBid,
-		e.RunAblationSmoothing, e.RunPaymentOverhead, e.RunCostVerification,
-		e.RunAblationOrder2, e.RunRobustness, e.RunStrategicRegret, e.RunReputation,
-	}
-	results := make([]*Result, 0, len(runs))
-	for _, run := range runs {
-		r, err := run()
-		if err != nil {
-			return results, err
-		}
-		results = append(results, r)
-	}
-	return results, nil
-}

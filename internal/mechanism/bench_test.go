@@ -32,11 +32,11 @@ func BenchmarkSingleTaskRunReference(b *testing.B) {
 			continue
 		}
 		a := randomSingleAuction(stats.NewRand(int64(n)), n, 0.8)
-		m := &SingleTask{Epsilon: 0.5, Alpha: 10, Parallelism: 1, useReference: true}
+		m := &SingleTask{Epsilon: 0.5, Alpha: 10, Parallelism: 1}
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := m.Run(a); err != nil {
+				if _, err := m.run(a, referenceKnapsack(m.epsilon())); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -83,11 +83,11 @@ func BenchmarkMultiTaskRunReference(b *testing.B) {
 				continue
 			}
 			a := randomMultiAuction(stats.NewRand(3), nt[0], nt[1], 0.8)
-			m := &MultiTask{Alpha: 10, CriticalBid: mode.mode, Parallelism: 1, useReference: true}
+			m := &MultiTask{Alpha: 10, CriticalBid: mode.mode, Parallelism: 1}
 			b.Run(fmt.Sprintf("n=%d/t=%d/%s", nt[0], nt[1], mode.name), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := m.Run(a); err != nil {
+					if _, err := m.run(a, referenceCover); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -4,8 +4,35 @@ import (
 	"errors"
 	"testing"
 
+	"crowdsense/internal/auction"
+	"crowdsense/internal/knapsack"
+	"crowdsense/internal/obs/span"
+	"crowdsense/internal/setcover"
 	"crowdsense/internal/stats"
 )
+
+// referenceKnapsack is the retained seed solver for SingleTask.run: every
+// solve, allocation and probe alike, rebuilds the instance and runs
+// knapsack.SolveFPTASReference.
+func referenceKnapsack(eps float64) func(*knapsack.Instance) knapsackSolve {
+	return func(in *knapsack.Instance) knapsackSolve {
+		return func(_ *span.Span, i int, q float64) (knapsack.Solution, error) {
+			if i < 0 {
+				return knapsack.SolveFPTASReference(in, eps)
+			}
+			mod, err := in.WithContribution(i, q)
+			if err != nil {
+				return knapsack.Solution{}, err
+			}
+			return knapsack.SolveFPTASReference(mod, eps)
+		}
+	}
+}
+
+// referenceCover is the retained seed cover for MultiTask.run.
+func referenceCover(a *auction.Auction, _ *span.Span) (setcover.Solution, error) {
+	return setcover.GreedyReference(a)
+}
 
 // assertSameOutcome pins an optimized mechanism run to a reference-solver
 // run bit for bit: same winners, same social cost, and — the part the paper
@@ -53,9 +80,8 @@ func TestSingleTaskMatchesReferenceSolvers(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		a := randomSingleAuction(rng, 5+rng.Intn(25), 0.8)
 		opt := &SingleTask{Epsilon: 0.5, Alpha: 10}
-		ref := &SingleTask{Epsilon: 0.5, Alpha: 10, useReference: true}
 		got, errGot := opt.Run(a)
-		want, errWant := ref.Run(a)
+		want, errWant := opt.run(a, referenceKnapsack(opt.epsilon()))
 		if (errGot == nil) != (errWant == nil) {
 			t.Fatalf("trial %d: err %v vs reference %v", trial, errGot, errWant)
 		}
@@ -82,9 +108,9 @@ func TestMultiTaskMatchesReferenceSolvers(t *testing.T) {
 		for trial := 0; trial < 25; trial++ {
 			a := randomMultiAuction(rng, 6+rng.Intn(20), 2+rng.Intn(6), 0.8)
 			opt := &MultiTask{Alpha: 10, CriticalBid: mode}
-			ref := &MultiTask{Alpha: 10, CriticalBid: mode, Parallelism: 1, useReference: true}
+			ref := &MultiTask{Alpha: 10, CriticalBid: mode, Parallelism: 1}
 			got, errGot := opt.Run(a)
-			want, errWant := ref.Run(a)
+			want, errWant := ref.run(a, referenceCover)
 			if (errGot == nil) != (errWant == nil) {
 				t.Fatalf("mode %d trial %d: err %v vs reference %v", mode, trial, errGot, errWant)
 			}

@@ -25,8 +25,10 @@ package mechanism
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"crowdsense/internal/auction"
+	"crowdsense/internal/obs/span"
 )
 
 // Sentinel errors.
@@ -187,6 +189,68 @@ func ecAward(bidIndex int, bid auction.Bid, criticalQ, declaredTotalQ, alpha flo
 		RewardOnFailure:      -criticalPoS*alpha + bid.Cost,
 		ExpectedUtility:      (auction.PoS(declaredTotalQ) - criticalPoS) * alpha,
 	}
+}
+
+// priceWinners fills out.Awards with every winner's execution-contingent
+// award. The critical-bid searches are independent per winner, so they fan
+// out over at most par goroutines; each runs under its own wd.critical_bid
+// span under trace, which ends with the search's work count (attribute
+// work) and critical_q, or with the error. critical returns the winner's
+// critical contribution and work count; declared returns the bid's
+// declared contribution the award is priced against. The first error wins.
+func priceWinners(trace *span.Span, par int, a *auction.Auction, out *Outcome, work string,
+	declared func(auction.Bid) float64,
+	critical func(sp *span.Span, winner int) (float64, int64, error)) error {
+	sem := make(chan struct{}, par)
+	var (
+		wg       sync.WaitGroup
+		mu       sync.Mutex
+		firstErr error
+	)
+	for slot, winner := range out.Selected {
+		wg.Add(1)
+		go func(slot, winner int) {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			cb := trace.Child(span.NameCriticalBid, span.Int("winner", int64(winner)))
+			criticalQ, n, err := critical(cb, winner)
+			if err != nil {
+				cb.EndWith(span.Str("error", err.Error()))
+				mu.Lock()
+				if firstErr == nil {
+					firstErr = err
+				}
+				mu.Unlock()
+				return
+			}
+			cb.EndWith(span.Int(work, n), span.Float("critical_q", criticalQ))
+			bid := a.Bids[winner]
+			out.Awards[slot] = ecAward(winner, bid, criticalQ, declared(bid), out.Alpha)
+		}(slot, winner)
+	}
+	wg.Wait()
+	return firstErr
+}
+
+// bisect is the critical-bid search: wins must be monotone on [lo, hi],
+// losing at lo and winning at hi. It halves the bracket until it is at most
+// tol wide and returns its winning end; an error from wins aborts the
+// search and is returned.
+func bisect(lo, hi, tol float64, wins func(x float64) (bool, error)) (float64, error) {
+	for hi-lo > tol {
+		mid := (lo + hi) / 2
+		w, err := wins(mid)
+		if err != nil {
+			return 0, err
+		}
+		if w {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return hi, nil
 }
 
 // requireAlpha normalizes a reward scale.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"crowdsense/internal/auction"
@@ -57,11 +56,6 @@ type MultiTask struct {
 	// determination (see PoSAdjuster). Costs stay declared; the critical
 	// PoS and the EC reward pair are computed on the adjusted PoS.
 	Adjuster PoSAdjuster
-
-	// useReference routes every cover through the retained seed
-	// implementation (setcover.GreedyReference). Differential tests and
-	// benchmarks use it as the oracle; it is not part of the public surface.
-	useReference bool
 }
 
 var _ Mechanism = (*MultiTask)(nil)
@@ -76,19 +70,20 @@ func (m *MultiTask) parallelism() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// solveCover runs winner determination on the given auction, emitting a
-// setcover.greedy span under sp when tracing is on.
-func (m *MultiTask) solveCover(sp *span.Span, a *auction.Auction) (setcover.Solution, error) {
-	if m.useReference {
-		return setcover.GreedyReference(a)
-	}
-	return setcover.GreedyTraced(a, sp)
-}
+// coverSolve is the cover one MultiTask run prices through, emitting a
+// setcover.greedy span under sp. Run passes setcover.GreedyTraced; the
+// differential tests and reference benchmarks pass the retained seed cover.
+type coverSolve func(a *auction.Auction, sp *span.Span) (setcover.Solution, error)
 
 // Run executes winner determination and reward calculation. Per-winner
 // critical-bid searches are independent and fan out across a bounded worker
 // pool, mirroring SingleTask.
 func (m *MultiTask) Run(a *auction.Auction) (*Outcome, error) {
+	return m.run(a, setcover.GreedyTraced)
+}
+
+// run is Run with every cover, allocation and rerun alike, solved by solve.
+func (m *MultiTask) run(a *auction.Auction, solve coverSolve) (*Outcome, error) {
 	alpha, err := requireAlpha(m.Alpha)
 	if err != nil {
 		return nil, err
@@ -98,7 +93,7 @@ func (m *MultiTask) Run(a *auction.Auction) (*Outcome, error) {
 	}
 	allocSpan := m.Trace.Child(span.NameAllocate,
 		span.Int("bids", int64(len(a.Bids))), span.Int("tasks", int64(len(a.Tasks))))
-	sol, err := m.solveCover(allocSpan, a)
+	sol, err := solve(a, allocSpan)
 	if err != nil {
 		allocSpan.EndWith(span.Str("error", err.Error()))
 		if errors.Is(err, setcover.ErrInfeasible) {
@@ -115,52 +110,24 @@ func (m *MultiTask) Run(a *auction.Auction) (*Outcome, error) {
 		Alpha:      alpha,
 		Stats:      Stats{GreedyIters: len(sol.Iterations)},
 	}
-	var (
-		reevals  atomic.Int64
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
+	var reevals atomic.Int64
 	reevals.Add(sol.Evals)
-	sem := make(chan struct{}, m.parallelism())
-	for slot, winner := range sol.Selected {
-		wg.Add(1)
-		go func(slot, winner int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			cb := m.Trace.Child(span.NameCriticalBid, span.Int("winner", int64(winner)))
-			var (
-				criticalQ float64
-				evals     int64
-				err       error
-			)
+	err = priceWinners(m.Trace, m.parallelism(), a, out, "evals",
+		auction.Bid.TotalContribution,
+		func(sp *span.Span, winner int) (criticalQ float64, evals int64, err error) {
 			switch m.CriticalBid {
 			case CriticalBidScaled:
-				criticalQ, evals, err = m.criticalContributionScaled(cb, a, winner)
+				criticalQ, evals, err = criticalContributionScaled(sp, a, winner, solve)
 			case CriticalBidPaper, 0:
-				criticalQ, evals, err = m.criticalContributionMulti(cb, a, winner)
+				criticalQ, evals, err = criticalContributionMulti(sp, a, winner, solve)
 			default:
 				err = fmt.Errorf("mechanism: unknown critical bid mode %d", m.CriticalBid)
 			}
 			reevals.Add(evals)
-			if err != nil {
-				cb.EndWith(span.Str("error", err.Error()))
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-				return
-			}
-			cb.EndWith(span.Int("evals", evals), span.Float("critical_q", criticalQ))
-			bid := a.Bids[winner]
-			out.Awards[slot] = ecAward(winner, bid, criticalQ, bid.TotalContribution(), alpha)
-		}(slot, winner)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+			return criticalQ, evals, err
+		})
+	if err != nil {
+		return nil, err
 	}
 	out.Stats.LazyReevals = reevals.Load()
 	out.fillStats()
@@ -174,33 +141,24 @@ func (m *MultiTask) Run(a *auction.Auction) (*Outcome, error) {
 // (Lemma 2), hence monotone in s, so the threshold is well defined. The
 // search runs in the PoS domain: scaling contribution by s maps p to
 // 1−(1−p)^s.
-func (m *MultiTask) criticalContributionScaled(sp *span.Span, a *auction.Auction, i int) (float64, int64, error) {
+func criticalContributionScaled(sp *span.Span, a *auction.Auction, i int, solve coverSolve) (float64, int64, error) {
 	total := a.Bids[i].TotalContribution()
 	if total <= 0 {
 		return 0, 0, nil
 	}
 	var evals int64
-	lo, hi := 0.0, 1.0 // lo loses (zero contribution), hi wins (declared)
-	const tol = 1e-9
-	for hi-lo > tol {
-		mid := (lo + hi) / 2
-		wins, e, err := m.winsWithScale(sp, a, i, mid)
+	// s = 0 loses (zero contribution), s = 1 wins (declared).
+	s, err := bisect(0, 1, 1e-9, func(s float64) (bool, error) {
+		wins, e, err := winsWithScale(sp, a, i, s, solve)
 		evals += e
-		if err != nil {
-			return 0, evals, err
-		}
-		if wins {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return hi * total, evals, nil
+		return wins, err
+	})
+	return s * total, evals, err
 }
 
 // winsWithScale reports whether bid i is selected by the greedy allocation
 // when its contributions are scaled by s.
-func (m *MultiTask) winsWithScale(sp *span.Span, a *auction.Auction, i int, s float64) (bool, int64, error) {
+func winsWithScale(sp *span.Span, a *auction.Auction, i int, s float64, solve coverSolve) (bool, int64, error) {
 	orig := a.Bids[i]
 	scaled := make(map[auction.TaskID]float64, len(orig.PoS))
 	for id, p := range orig.PoS {
@@ -211,7 +169,7 @@ func (m *MultiTask) winsWithScale(sp *span.Span, a *auction.Auction, i int, s fl
 	if err != nil {
 		return false, 0, err
 	}
-	sol, err := m.solveCover(sp, mod)
+	sol, err := solve(mod, sp)
 	if err != nil {
 		if errors.Is(err, setcover.ErrInfeasible) {
 			return false, sol.Evals, nil
@@ -234,7 +192,7 @@ func (m *MultiTask) winsWithScale(sp *span.Span, a *auction.Auction, i int, s fl
 // observed before the rerun stalls still applies and is used if smaller —
 // it cannot be, since 0 is minimal). The paper assumes a competitive market
 // where this does not arise; see DESIGN.md.
-func (m *MultiTask) criticalContributionMulti(sp *span.Span, a *auction.Auction, i int) (float64, int64, error) {
+func criticalContributionMulti(sp *span.Span, a *auction.Auction, i int, solve coverSolve) (float64, int64, error) {
 	rest, err := a.WithoutBid(i)
 	if err != nil {
 		if errors.Is(err, auction.ErrNoBids) {
@@ -242,7 +200,7 @@ func (m *MultiTask) criticalContributionMulti(sp *span.Span, a *auction.Auction,
 		}
 		return 0, 0, err
 	}
-	sol, err := m.solveCover(sp, rest)
+	sol, err := solve(rest, sp)
 	if err != nil {
 		if errors.Is(err, setcover.ErrInfeasible) {
 			return 0, sol.Evals, nil // pivotal: wins with any positive declaration
@@ -271,47 +229,4 @@ func (m *MultiTask) criticalContributionMulti(sp *span.Span, a *auction.Auction,
 		return 0, sol.Evals, fmt.Errorf("mechanism: empty rerun trace for winner %d", i)
 	}
 	return critical, sol.Evals, nil
-}
-
-// MultiTaskOPT pairs the exact branch-and-bound cover with EC rewards
-// priced by the greedy critical bids. It exists purely as a social-cost
-// baseline for the evaluation — the exact allocation is NOT monotone-proven
-// and its rewards are not certified strategy-proof.
-type MultiTaskOPT struct {
-	Alpha      float64
-	NodeBudget int
-}
-
-var _ Mechanism = (*MultiTaskOPT)(nil)
-
-// Name implements Mechanism.
-func (m *MultiTaskOPT) Name() string { return "multi-task OPT" }
-
-// Run executes exact (or best-found within the node budget) winner
-// determination. Awards carry zero critical bids: the OPT baseline is used
-// only for social-cost comparisons.
-func (m *MultiTaskOPT) Run(a *auction.Auction) (*Outcome, error) {
-	res, err := BnBCover(a, m.NodeBudget)
-	if err != nil {
-		return nil, err
-	}
-	out := &Outcome{
-		Mechanism:  m.Name(),
-		Selected:   res.Solution.Selected,
-		SocialCost: res.Solution.Cost,
-	}
-	out.fillStats()
-	return out, nil
-}
-
-// BnBCover exposes the exact cover search with mechanism error mapping.
-func BnBCover(a *auction.Auction, nodeBudget int) (setcover.BnBResult, error) {
-	res, err := setcover.BnB(a, nodeBudget)
-	if err != nil {
-		if errors.Is(err, setcover.ErrInfeasible) {
-			return setcover.BnBResult{}, fmt.Errorf("%w: %v", ErrInfeasible, err)
-		}
-		return setcover.BnBResult{}, err
-	}
-	return res, nil
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"crowdsense/internal/auction"
+	"crowdsense/internal/setcover"
 	"crowdsense/internal/stats"
 )
 
@@ -293,19 +294,18 @@ func TestMultiTaskOPTUpperBoundsGreedy(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		a := randomMultiAuction(rng, 5+rng.Intn(8), 2+rng.Intn(4), 0.75)
 		greedy := &MultiTask{Alpha: 10}
-		opt := &MultiTaskOPT{Alpha: 10}
 		gOut, err := greedy.Run(a)
 		if err != nil {
 			t.Fatal(err)
 		}
-		oOut, err := opt.Run(a)
+		opt, err := setcover.BnB(a, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if oOut.SocialCost > gOut.SocialCost+1e-9 {
-			t.Fatalf("trial %d: OPT %g worse than greedy %g", trial, oOut.SocialCost, gOut.SocialCost)
+		if opt.Solution.Cost > gOut.SocialCost+1e-9 {
+			t.Fatalf("trial %d: OPT %g worse than greedy %g", trial, opt.Solution.Cost, gOut.SocialCost)
 		}
-		if !a.CoveredBy(oOut.Selected, 1e-9) {
+		if !a.CoveredBy(opt.Solution.Selected, 1e-9) {
 			t.Fatalf("trial %d: OPT infeasible", trial)
 		}
 	}

@@ -3,9 +3,7 @@ package mechanism
 import (
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
-	"sync"
 
 	"crowdsense/internal/auction"
 	"crowdsense/internal/knapsack"
@@ -43,12 +41,6 @@ type SingleTask struct {
 	// determination (see PoSAdjuster). Costs stay declared; the critical
 	// PoS and the EC reward pair are computed on the adjusted PoS.
 	Adjuster PoSAdjuster
-
-	// useReference routes every solve through the retained seed
-	// implementation (knapsack.SolveFPTASReference, with per-probe instance
-	// rebuilds). Differential tests and benchmarks use it as the oracle; it
-	// is not part of the public surface.
-	useReference bool
 }
 
 var _ Mechanism = (*SingleTask)(nil)
@@ -72,9 +64,39 @@ func (m *SingleTask) parallelism() int {
 	return runtime.GOMAXPROCS(0)
 }
 
+// knapsackSolve is the solver one SingleTask run prices through: it solves
+// the run's instance with user i's contribution replaced by q, or as
+// declared when i < 0, emitting knapsack.solve spans under sp. Run passes
+// the optimized knapsack.Solver; the differential tests and reference
+// benchmarks pass the retained seed solver.
+type knapsackSolve func(sp *span.Span, i int, q float64) (knapsack.Solution, error)
+
 // Run executes winner determination and reward calculation. The auction
 // must have exactly one task.
 func (m *SingleTask) Run(a *auction.Auction) (*Outcome, error) {
+	var solver *knapsack.Solver
+	out, err := m.run(a, func(in *knapsack.Instance) knapsackSolve {
+		solver = knapsack.NewSolver(in, m.epsilon())
+		solver.Parallelism = m.parallelism()
+		return func(sp *span.Span, i int, q float64) (knapsack.Solution, error) {
+			if i < 0 {
+				return solver.SolveTraced(sp)
+			}
+			return solver.SolveWithContributionTraced(sp, i, q)
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	st := solver.Stats()
+	out.Stats.DPPruned = st.Pruned
+	out.Stats.DPReuse = st.WorkspaceHits
+	return out, nil
+}
+
+// run is Run with the solver built by newSolve from the (adjusted)
+// auction's knapsack instance.
+func (m *SingleTask) run(a *auction.Auction, newSolve func(*knapsack.Instance) knapsackSolve) (*Outcome, error) {
 	alpha, err := requireAlpha(m.Alpha)
 	if err != nil {
 		return nil, err
@@ -86,14 +108,9 @@ func (m *SingleTask) Run(a *auction.Auction) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	par := m.parallelism()
-	var solver *knapsack.Solver
-	if !m.useReference {
-		solver = knapsack.NewSolver(in, m.epsilon())
-		solver.Parallelism = par
-	}
+	solve := newSolve(in)
 	allocSpan := m.Trace.Child(span.NameAllocate, span.Int("bids", int64(len(a.Bids))))
-	sol, err := m.allocate(allocSpan, solver, in)
+	sol, err := solve(allocSpan, -1, 0)
 	if err != nil {
 		allocSpan.EndWith(span.Str("error", err.Error()))
 		if errors.Is(err, knapsack.ErrInfeasible) {
@@ -111,55 +128,16 @@ func (m *SingleTask) Run(a *auction.Auction) (*Outcome, error) {
 		Alpha:      alpha,
 		Stats:      Stats{DPCells: sol.Cells},
 	}
-	// Critical-bid searches are independent per winner; fan out.
-	sem := make(chan struct{}, par)
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	for slot, winner := range sol.Selected {
-		wg.Add(1)
-		go func(slot, winner int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			cb := m.Trace.Child(span.NameCriticalBid, span.Int("winner", int64(winner)))
-			criticalQ, probes, err := m.criticalContribution(cb, solver, in, winner)
-			if err != nil {
-				cb.EndWith(span.Str("error", err.Error()))
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-				return
-			}
-			cb.EndWith(span.Int("probes", int64(probes)), span.Float("critical_q", criticalQ))
-			bid := a.Bids[winner]
-			out.Awards[slot] = ecAward(winner, bid, criticalQ, bid.Contribution(taskID), alpha)
-		}(slot, winner)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if solver != nil {
-		st := solver.Stats()
-		out.Stats.DPPruned = st.Pruned
-		out.Stats.DPReuse = st.WorkspaceHits
+	err = priceWinners(m.Trace, m.parallelism(), a, out, "probes",
+		func(bid auction.Bid) float64 { return bid.Contribution(taskID) },
+		func(sp *span.Span, winner int) (float64, int64, error) {
+			return criticalContribution(sp, solve, in, winner)
+		})
+	if err != nil {
+		return nil, err
 	}
 	out.fillStats()
 	return out, nil
-}
-
-// allocate runs winner determination on the declared contributions, emitting
-// the DP's knapsack.solve span under sp when tracing is on.
-func (m *SingleTask) allocate(sp *span.Span, solver *knapsack.Solver, in *knapsack.Instance) (knapsack.Solution, error) {
-	if m.useReference {
-		return knapsack.SolveFPTASReference(in, m.epsilon())
-	}
-	return solver.SolveTraced(sp)
 }
 
 // criticalContribution binary-searches the minimum declared contribution q̄
@@ -169,61 +147,33 @@ func (m *SingleTask) allocate(sp *span.Span, solver *knapsack.Solver, in *knapsa
 // declaration, and the critical bid can never exceed it. It returns the
 // probe count alongside the threshold; each probe emits its own
 // knapsack.solve span under sp.
-func (m *SingleTask) criticalContribution(sp *span.Span, solver *knapsack.Solver, in *knapsack.Instance, i int) (float64, int, error) {
-	probes := 1
-	wins, err := m.winsWith(sp, solver, in, i, in.Contribs[i])
-	if err != nil {
-		return 0, probes, err
-	}
-	if !wins {
-		// Defensive: the declared contribution produced this winner, so it
-		// must win on re-run (the solver is deterministic).
-		return 0, probes, fmt.Errorf("mechanism: winner %d does not win at declared contribution", i)
-	}
-	lo, hi := 0.0, in.Contribs[i]
-	// At q = 0 a user contributes nothing and is never selected.
-	for hi-lo > CriticalBidTol {
-		mid := (lo + hi) / 2
+func criticalContribution(sp *span.Span, solve knapsackSolve, in *knapsack.Instance, i int) (float64, int64, error) {
+	var probes int64
+	wins := func(q float64) (bool, error) {
 		probes++
-		wins, err := m.winsWith(sp, solver, in, i, mid)
-		if err != nil {
-			return 0, probes, err
-		}
-		if wins {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return hi, probes, nil
-}
-
-// winsWith reports whether user i is selected when declaring contribution q
-// while everyone else's declarations stay fixed.
-func (m *SingleTask) winsWith(sp *span.Span, solver *knapsack.Solver, in *knapsack.Instance, i int, q float64) (bool, error) {
-	var (
-		sol knapsack.Solution
-		err error
-	)
-	if m.useReference {
-		var mod *knapsack.Instance
-		mod, err = in.WithContribution(i, q)
-		if err != nil {
-			return false, err
-		}
-		sol, err = knapsack.SolveFPTASReference(mod, m.epsilon())
-	} else {
-		sol, err = solver.SolveWithContributionTraced(sp, i, q)
-	}
-	if err != nil {
+		sol, err := solve(sp, i, q)
 		if errors.Is(err, knapsack.ErrInfeasible) {
 			// Lowering i's declaration made the whole instance infeasible;
 			// in that regime no one (in particular not i) is selected.
 			return false, nil
 		}
-		return false, err
+		if err != nil {
+			return false, err
+		}
+		return sol.Contains(i), nil
 	}
-	return sol.Contains(i), nil
+	won, err := wins(in.Contribs[i])
+	if err != nil {
+		return 0, probes, err
+	}
+	if !won {
+		// Defensive: the declared contribution produced this winner, so it
+		// must win on re-run (the solver is deterministic).
+		return 0, probes, fmt.Errorf("mechanism: winner %d does not win at declared contribution", i)
+	}
+	// At q = 0 a user contributes nothing and is never selected.
+	q, err := bisect(0, in.Contribs[i], CriticalBidTol, wins)
+	return q, probes, err
 }
 
 // singleTaskInstance projects a single-task auction onto a knapsack
@@ -244,105 +194,4 @@ func singleTaskInstance(a *auction.Auction) (*knapsack.Instance, auction.TaskID,
 		return nil, 0, err
 	}
 	return in, task.ID, nil
-}
-
-// SingleTaskOPT runs the exact (branch-and-bound) allocation with the same
-// critical-bid EC reward scheme. It is exponential in the worst case and
-// exists as the paper's OPT baseline; Run fails with knapsack.ErrNodeBudget
-// if the search exceeds its node budget.
-type SingleTaskOPT struct {
-	Alpha      float64
-	NodeBudget int
-}
-
-var _ Mechanism = (*SingleTaskOPT)(nil)
-
-// Name implements Mechanism.
-func (m *SingleTaskOPT) Name() string { return "single-task OPT" }
-
-// Run executes exact winner determination. Rewards use the same EC scheme
-// with critical bids searched against the exact allocation.
-func (m *SingleTaskOPT) Run(a *auction.Auction) (*Outcome, error) {
-	alpha, err := requireAlpha(m.Alpha)
-	if err != nil {
-		return nil, err
-	}
-	in, taskID, err := singleTaskInstance(a)
-	if err != nil {
-		return nil, err
-	}
-	sol, err := knapsack.SolveBnB(in, m.NodeBudget)
-	if err != nil {
-		if errors.Is(err, knapsack.ErrInfeasible) {
-			return nil, fmt.Errorf("%w: %v", ErrInfeasible, err)
-		}
-		return nil, err
-	}
-	out := &Outcome{
-		Mechanism:  m.Name(),
-		Selected:   sol.Selected,
-		SocialCost: sol.Cost,
-		Awards:     make([]Award, len(sol.Selected)),
-		Alpha:      alpha,
-	}
-	for slot, winner := range sol.Selected {
-		criticalQ, err := m.criticalContribution(in, winner)
-		if err != nil {
-			return nil, err
-		}
-		bid := a.Bids[winner]
-		out.Awards[slot] = ecAward(winner, bid, criticalQ, bid.Contribution(taskID), alpha)
-	}
-	out.fillStats()
-	return out, nil
-}
-
-func (m *SingleTaskOPT) criticalContribution(in *knapsack.Instance, i int) (float64, error) {
-	// Defensive, mirroring the FPTAS path: the declared contribution must
-	// still win on re-run before the search's [0, q_i] bracket is valid. A
-	// node-budget truncation (SolveBnB aborts mid-search) would otherwise
-	// silently yield a bogus threshold.
-	wins, err := m.winsWith(in, i, in.Contribs[i])
-	if err != nil {
-		return 0, err
-	}
-	if !wins {
-		return 0, fmt.Errorf("mechanism: OPT winner %d does not win at declared contribution", i)
-	}
-	lo, hi := 0.0, in.Contribs[i]
-	for hi-lo > CriticalBidTol {
-		mid := (lo + hi) / 2
-		wins, err := m.winsWith(in, i, mid)
-		switch {
-		case errors.Is(err, knapsack.ErrInfeasible):
-			lo = mid
-			continue
-		case err != nil:
-			return 0, err
-		}
-		if wins {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	if math.IsNaN(hi) {
-		return 0, fmt.Errorf("mechanism: critical bid search diverged for user %d", i)
-	}
-	return hi, nil
-}
-
-// winsWith reports whether user i is selected by the exact allocation when
-// declaring contribution q. Infeasible re-runs propagate ErrInfeasible for
-// the caller to interpret per search phase.
-func (m *SingleTaskOPT) winsWith(in *knapsack.Instance, i int, q float64) (bool, error) {
-	mod, err := in.WithContribution(i, q)
-	if err != nil {
-		return false, err
-	}
-	sol, err := knapsack.SolveBnB(mod, m.NodeBudget)
-	if err != nil {
-		return false, err
-	}
-	return sol.Contains(i), nil
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"crowdsense/internal/auction"
+	"crowdsense/internal/knapsack"
 	"crowdsense/internal/stats"
 )
 
@@ -226,18 +227,19 @@ func TestSingleTaskStrategyProof(t *testing.T) {
 func TestSingleTaskOPTMatchesKnownOptimum(t *testing.T) {
 	a := singleAuction(t, 0.9,
 		[2]float64{3, 0.7}, [2]float64{2, 0.7}, [2]float64{1, 0.5}, [2]float64{4, 0.8})
-	m := &SingleTaskOPT{Alpha: 10}
-	out, err := m.Run(a)
+	in, _, err := singleTaskInstance(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(out.SocialCost-5) > 1e-9 {
-		t.Errorf("OPT social cost = %g, want 5", out.SocialCost)
+	opt, err := knapsack.SolveBnB(in, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, aw := range out.Awards {
-		if aw.ExpectedUtility < -1e-6 {
-			t.Errorf("OPT winner %d negative expected utility %g", aw.BidIndex, aw.ExpectedUtility)
-		}
+	if math.Abs(opt.Cost-5) > 1e-9 {
+		t.Errorf("OPT social cost = %g, want 5", opt.Cost)
+	}
+	if !in.Covered(opt.Selected) {
+		t.Errorf("OPT selection %v does not cover the requirement", opt.Selected)
 	}
 }
 
@@ -246,18 +248,21 @@ func TestSingleTaskFPTASWithinEpsilonOfOPT(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		a := randomSingleAuction(rng, 6+rng.Intn(10), 0.8)
 		fp := &SingleTask{Epsilon: 0.3, Alpha: 10}
-		opt := &SingleTaskOPT{Alpha: 10}
 		fpOut, err := fp.Run(a)
 		if err != nil {
 			t.Fatal(err)
 		}
-		optOut, err := opt.Run(a)
+		in, _, err := singleTaskInstance(a)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fpOut.SocialCost > 1.3*optOut.SocialCost+1e-9 {
+		opt, err := knapsack.SolveBnB(in, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fpOut.SocialCost > 1.3*opt.Cost+1e-9 {
 			t.Fatalf("trial %d: FPTAS %g exceeds 1.3×OPT %g",
-				trial, fpOut.SocialCost, optOut.SocialCost)
+				trial, fpOut.SocialCost, opt.Cost)
 		}
 	}
 }

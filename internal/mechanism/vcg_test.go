@@ -147,9 +147,7 @@ func TestMTVCGCheaperThanTruthAwareMechanism(t *testing.T) {
 func TestMechanismNames(t *testing.T) {
 	names := map[string]Mechanism{
 		"single-task FPTAS(ε=0.5)": &SingleTask{Epsilon: 0.5},
-		"single-task OPT":          &SingleTaskOPT{},
 		"multi-task greedy":        &MultiTask{},
-		"multi-task OPT":           &MultiTaskOPT{},
 		"ST-VCG":                   STVCG{},
 		"MT-VCG":                   MTVCG{},
 	}

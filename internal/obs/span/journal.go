@@ -330,8 +330,7 @@ func (j *Journal) Close() error {
 }
 
 // ReadJournal decodes every record from one JSONL stream. Header lines —
-// node-identity records with an empty name — are skipped; JournalNode
-// recovers them.
+// node-identity records with an empty name — are skipped.
 func ReadJournal(r io.Reader) ([]Record, error) {
 	dec := json.NewDecoder(r)
 	dec.UseNumber()
@@ -348,24 +347,6 @@ func ReadJournal(r io.Reader) ([]Record, error) {
 		}
 		recs = append(recs, rec)
 	}
-}
-
-// JournalNode reads the node identity a journal stream's header declares,
-// "" when the stream is anonymous (pre-header journals, or a writer with no
-// node configured).
-func JournalNode(r io.Reader) (string, error) {
-	dec := json.NewDecoder(r)
-	dec.UseNumber()
-	var rec Record
-	if err := dec.Decode(&rec); err == io.EOF {
-		return "", nil
-	} else if err != nil {
-		return "", fmt.Errorf("span: read journal header: %w", err)
-	}
-	if rec.Name != "" {
-		return "", nil // first line is a real span: no header
-	}
-	return rec.Node, nil
 }
 
 // ReadJournalFile reads one journal file.

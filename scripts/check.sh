@@ -5,7 +5,8 @@
 # concurrency-bearing package (`make race`), a seed-corpus pass of the
 # fuzz targets, a one-iteration smoke run of every micro-benchmark package
 # (`make bench`; it exercises the optimized-vs-reference solver pairs end
-# to end), and the differential and smoke gates. The commands and package
+# to end), a check that no production binary links a *Reference solver
+# (`make prod-symbols`), and the differential and smoke gates. The commands and package
 # lists live only in the Makefile. Run it from the repo root.
 set -eux
 
@@ -33,6 +34,7 @@ go test ./...
 make --no-print-directory race
 make --no-print-directory fuzz-seed
 make --no-print-directory bench
+make --no-print-directory prod-symbols
 make --no-print-directory obsctl-roundtrip
 make --no-print-directory recovery-smoke
 make --no-print-directory audit-smoke
