@@ -133,3 +133,13 @@ swarm-smoke:
 session-order:
 	$(GO) test -race -count=20 -run TestSessionSettlesBeforeTerminalWrite ./internal/engine
 	$(GO) test -count=5 -run 'TestRoundTrip|TestSummaryAndTail|TestSLOCommand' ./cmd/obsctl
+
+# Event-fold gate: the event → state mapping is written once, in
+# internal/store (store.Apply and its lenient twin store.RoundFold), so no
+# non-test Go file outside that package may switch on event types. Fails if
+# one contains `case store.Event`.
+.PHONY: event-fold
+event-fold:
+	@if grep -rn --include='*.go' --exclude='*_test.go' 'case store\.Event' . | grep -v '^\./internal/store/'; then \
+		echo "event-fold: fold events through store.Apply or store.RoundFold instead" >&2; exit 1; \
+	fi

@@ -154,7 +154,7 @@ func runSummary(args []string, out *os.File) error {
 func runSLO(args []string, out *os.File) error {
 	fs := flag.NewFlagSet("obsctl slo", flag.ContinueOnError)
 	targetsArg := fs.String("targets", "round=250ms,phase.computing=50ms",
-		"comma-separated span=duration p99 targets (empty = quantiles only)")
+		"comma-separated span=duration p99 targets; a bare duration targets the round span (empty = quantiles only)")
 	objective := fs.Float64("objective", 0.01, "allowed slow-event fraction (0.01 = a p99 target)")
 	campaign := fs.String("campaign", "", "only records from this campaign")
 	if err := fs.Parse(args); err != nil {

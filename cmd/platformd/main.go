@@ -73,6 +73,7 @@ import (
 	"crowdsense/internal/obs"
 	"crowdsense/internal/obs/audit"
 	"crowdsense/internal/obs/span"
+	"crowdsense/internal/obs/spantool"
 	"crowdsense/internal/platform"
 	"crowdsense/internal/reputation"
 	"crowdsense/internal/store"
@@ -137,9 +138,13 @@ func run(args []string) error {
 		return errors.New("-journal is not supported with -cluster: each shard's settled rounds are in its -state-dir WAL")
 	}
 
-	sloCfg, err := parseSLOTargets(*sloP99)
+	sloTargets, err := spantool.ParseSLOTargets(*sloP99)
 	if err != nil {
-		return err
+		return fmt.Errorf("-slo-p99: %w", err)
+	}
+	var sloCfg *audit.SLOConfig
+	if len(sloTargets) > 0 {
+		sloCfg = &audit.SLOConfig{Targets: sloTargets}
 	}
 	auditOn := *auditFlag || sloCfg != nil
 
@@ -302,21 +307,10 @@ func run(args []string) error {
 		eventStore = store.Multi(eventStore, js)
 	}
 
-	// Feed the auditor. With a WAL it tails the durable stream like a
-	// replica would — auditing what was actually persisted, off the emit
-	// path. Without one it rides the emit path via store.Multi.
+	// The auditor rides the emit path after the WAL and the journal,
+	// checking each round as it settles.
 	if aud != nil {
-		if rec != nil {
-			wal := rec.WAL
-			go func() {
-				if err := aud.Tail(ctx, wal, wal.LastSeq()); err != nil {
-					slog.Warn("auditor tail", "err", err)
-				}
-			}()
-			slog.Info("live auditor tailing WAL", "from_seq", rec.WAL.LastSeq())
-		} else {
-			eventStore = store.Multi(eventStore, aud)
-		}
+		eventStore = store.Multi(eventStore, aud)
 	}
 
 	return runEngine(ctx, engineOptions{
@@ -337,40 +331,6 @@ func run(args []string) error {
 		aud:       aud,
 		rep:       rep,
 	})
-}
-
-// parseSLOTargets decodes the -slo-p99 flag: comma-separated span=duration
-// pairs, or one bare duration applied to the round span. Empty input means
-// no SLO tracking (nil config).
-func parseSLOTargets(s string) (*audit.SLOConfig, error) {
-	if s == "" {
-		return nil, nil
-	}
-	targets := make(map[string]time.Duration)
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		name, val, ok := strings.Cut(part, "=")
-		if !ok {
-			d, err := time.ParseDuration(part)
-			if err != nil {
-				return nil, fmt.Errorf("bad -slo-p99 entry %q: %w", part, err)
-			}
-			targets[span.NameRound] = d
-			continue
-		}
-		d, err := time.ParseDuration(val)
-		if err != nil || name == "" {
-			return nil, fmt.Errorf("bad -slo-p99 entry %q: want span=duration", part)
-		}
-		targets[name] = d
-	}
-	if len(targets) == 0 {
-		return nil, nil
-	}
-	return &audit.SLOConfig{Targets: targets}, nil
 }
 
 type engineOptions struct {

@@ -12,6 +12,7 @@ import (
 	"crowdsense/internal/agent"
 	"crowdsense/internal/auction"
 	"crowdsense/internal/engine"
+	"crowdsense/internal/obs"
 	"crowdsense/internal/platform"
 )
 
@@ -102,7 +103,9 @@ func journalBytes(t *testing.T, entries []platform.JournalEntry) []byte {
 // router in front, rounds played on both shards; the follower quiesces level
 // with the leader, the leader is halted mid-campaign, agents retry through
 // the router until the follower promotes — and the promoted shard's settled
-// rounds and journal bytes must be identical to the dead leader's.
+// rounds and journal bytes must be identical to the dead leader's. Both
+// nodes audit their led shards live, so every round settled on either
+// leader — before the kill and after the promotion — must be audited clean.
 func TestClusterFailoverDifferential(t *testing.T) {
 	ring := NewRing([]string{"s1", "s2"}, 0)
 	campA := pickCampaign(t, ring, "s1")
@@ -115,6 +118,7 @@ func TestClusterFailoverDifferential(t *testing.T) {
 		AgentAddr:  "127.0.0.1:0",
 		RepAddr:    "127.0.0.1:0",
 		Campaigns:  []engine.CampaignConfig{clusterCampaign(campA, 4)},
+		Audit:      true,
 		Reputation: true,
 		Logf:       t.Logf,
 	})
@@ -130,6 +134,7 @@ func TestClusterFailoverDifferential(t *testing.T) {
 		StateDir:   t.TempDir(),
 		AgentAddr:  "127.0.0.1:0",
 		Campaigns:  []engine.CampaignConfig{clusterCampaign(campB, 2)},
+		Audit:      true,
 		Reputation: true,
 		Follow: &FollowConfig{
 			Shard:     "s1",
@@ -215,6 +220,9 @@ func TestClusterFailoverDifferential(t *testing.T) {
 		t.Fatalf("leader live reputation state diverged from its durable checkpoint:\nlive    %s\ndurable %s",
 			liveRep, preRep)
 	}
+
+	// The dead-to-be leader audited every round it settled.
+	assertAudited(t, "n1", n1.AuditReports(), map[string]uint64{"s1": uint64(len(preCS.Completed))})
 
 	n1.Halt()
 
@@ -317,6 +325,13 @@ func TestClusterFailoverDifferential(t *testing.T) {
 		}
 	}
 
+	// The promoted shard's auditor starts at the round Restore reopens, so
+	// it checks exactly the rounds settled after the kill.
+	assertAudited(t, "n2", n2.AuditReports(), map[string]uint64{
+		"s1": uint64(len(postCS.Completed) - len(preCS.Completed)),
+		"s2": 2,
+	})
+
 	// The replica applied at least everything the leader had settled.
 	if n2.AppliedSeq() < preSeq {
 		t.Errorf("replica applied seq %d < leader snapshot seq %d", n2.AppliedSeq(), preSeq)
@@ -325,5 +340,22 @@ func TestClusterFailoverDifferential(t *testing.T) {
 	routed, _, _ := router.Stats()
 	if routed["s1"] == 0 || routed["s2"] == 0 {
 		t.Errorf("router stats missing traffic: %v", routed)
+	}
+}
+
+// assertAudited checks a node's per-shard audit reports: exactly the shards
+// in want, each having checked want[shard] rounds with no violation.
+func assertAudited(t *testing.T, node string, reports []obs.AuditReport, want map[string]uint64) {
+	t.Helper()
+	if len(reports) != len(want) {
+		t.Errorf("%s: %d audit reports, want one per led shard %v", node, len(reports), want)
+	}
+	for _, r := range reports {
+		if r.RoundsChecked != want[r.Shard] {
+			t.Errorf("%s: shard %s auditor checked %d rounds, want %d", node, r.Shard, r.RoundsChecked, want[r.Shard])
+		}
+		if r.Violations != 0 {
+			t.Errorf("%s: shard %s auditor found %d violations: %s", node, r.Shard, r.Violations, r.LastViolation)
+		}
 	}
 }

@@ -73,10 +73,11 @@ type NodeConfig struct {
 	DialRetry time.Duration
 	// Follow, if set, makes this node the standby for another shard.
 	Follow *FollowConfig
-	// Audit, when true, runs a live mechanism auditor per led shard: it
-	// tails the shard's WAL like a replica, re-checks every settled round's
-	// invariants, and feeds the shard-labelled audit status into Readiness
-	// and MetricFamilies. A shard gained by promotion gets its own auditor.
+	// Audit, when true, runs a live mechanism auditor per led shard: the
+	// shard's engine feeds it every event after the WAL, it re-checks every
+	// settled round's invariants, and it feeds the shard-labelled audit
+	// status into Readiness and MetricFamilies. A shard gained by promotion
+	// gets its own auditor.
 	Audit bool
 	// AuditSLO passes latency-SLO targets to each shard auditor (nil means
 	// invariant checking only).
@@ -189,7 +190,8 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 // startLeader recovers dir, builds an engine serving the shard's campaigns
 // on addr, and runs it. Fresh state registers the configured campaigns;
 // recovered state resumes them. With NodeConfig.Audit set, a per-shard
-// auditor tails the WAL's durable stream and its status gates readiness.
+// auditor rides the engine's store fan-out after the WAL and its status
+// gates readiness.
 // With NodeConfig.Reputation set, a per-shard reputation store rides the
 // engine's emit path and is seeded from the recovered state's last durable
 // checkpoint.
@@ -210,8 +212,10 @@ func (n *Node) startLeader(shard, dir, addr string, campaigns []engine.CampaignC
 			acfg.SLO = &slo
 		}
 		aud = audit.New(acfg)
-		// The auditor is a span sink (SLO feed) and the readiness gate; its
-		// event feed is the WAL tail below, the same stream a replica reads.
+		// The auditor is a span sink (SLO feed), the readiness gate, and an
+		// event store after the WAL: it checks each round as it settles on
+		// the emit path, starting with the round Restore reopens.
+		ecfg.Store = store.Multi(ecfg.Store, aud)
 		ecfg.SpanSinks = append(ecfg.SpanSinks, aud)
 		ecfg.AuditStatus = aud.Status
 	}
@@ -250,16 +254,6 @@ func (n *Node) startLeader(shard, dir, addr string, campaigns []engine.CampaignC
 	if err := eng.Listen(addr); err != nil {
 		rec.WAL.Close()
 		return nil, nil, nil, nil, fmt.Errorf("cluster: shard %s: %w", shard, err)
-	}
-	if aud != nil {
-		from := rec.WAL.LastSeq()
-		n.wg.Add(1)
-		go func() {
-			defer n.wg.Done()
-			if err := aud.Tail(n.ctx, rec.WAL, from); err != nil && n.ctx.Err() == nil {
-				n.logf("node %s: shard %s auditor: %v", n.cfg.Name, shard, err)
-			}
-		}()
 	}
 	n.wg.Add(1)
 	go func() {

@@ -12,10 +12,10 @@
 // The process keeps serving — a broken invariant is evidence to preserve,
 // not a crash.
 //
-// The auditor consumes events from either side of the durability boundary:
-// attach it as a store.Store (via store.Multi) to see events synchronously
-// on the emit path, or run Tail against a WAL to follow the durable stream
-// like a replica would. Both feed the same fold.
+// The auditor has one event feed: it is a store.Store, attached after the
+// WAL (when there is one) in the engine's store.Multi fan-out, so it sees
+// every event synchronously on the emit path. It assembles settled rounds
+// with store.RoundFold, the same event → RoundRecord step the reducer uses.
 package audit
 
 import (
@@ -25,12 +25,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"crowdsense/internal/auction"
 	"crowdsense/internal/obs"
 	"crowdsense/internal/obs/span"
 	"crowdsense/internal/platform"
 	"crowdsense/internal/store"
-	"crowdsense/internal/wire"
 )
 
 // DefaultMaxViolations bounds the retained recent-violation list.
@@ -52,25 +50,16 @@ type Config struct {
 	MaxViolations int
 }
 
-// campaignFold is the auditor's per-campaign state: just enough to rebuild
-// the in-flight round's record. Deliberately O(current round), not
-// O(history) — the auditor runs forever next to the engine.
-type campaignFold struct {
-	tasks []auction.Task
-	cur   *store.RoundRecord
-}
-
 // Auditor evaluates mechanism invariants and latency SLOs against the live
-// event stream. Safe for concurrent use: event sources (engine emit path or
-// a Tail goroutine) and readers (ops endpoints, metrics scrapes) may
-// overlap.
+// event stream. Safe for concurrent use: the event source (the engine's
+// emit path) and readers (ops endpoints, metrics scrapes) may overlap.
 type Auditor struct {
 	cfg   Config
 	slo   *sloEngine
 	spans atomic.Pointer[span.Tracer]
 
 	mu            sync.Mutex
-	campaigns     map[string]*campaignFold
+	rounds        store.RoundFold
 	degraded      map[string]uint64 // campaign → violation count, sticky
 	roundsChecked uint64
 	violations    uint64
@@ -87,10 +76,9 @@ func New(cfg Config) *Auditor {
 		cfg.MaxViolations = DefaultMaxViolations
 	}
 	a := &Auditor{
-		cfg:       cfg,
-		campaigns: make(map[string]*campaignFold),
-		degraded:  make(map[string]uint64),
-		byRule:    make(map[ruleKey]uint64),
+		cfg:      cfg,
+		degraded: make(map[string]uint64),
+		byRule:   make(map[ruleKey]uint64),
 	}
 	if cfg.Spans != nil {
 		a.spans.Store(cfg.Spans)
@@ -117,74 +105,26 @@ func (a *Auditor) SetSpans(t *span.Tracer) {
 // nil-safe).
 func (a *Auditor) tracer() *span.Tracer { return a.spans.Load() }
 
-// Observe folds one event. Events for rounds whose opening the auditor did
-// not witness are skipped — joining a stream mid-round must not produce
-// false positives from a partial record.
+// Observe folds one event through the shared round fold and checks each
+// round it settles. Rounds whose opening the auditor did not witness are
+// skipped — joining a stream mid-round must not produce false positives
+// from a partial record — and a campaign_finished drops the campaign's
+// in-flight round while its degraded status stays sticky: a finished
+// campaign with a violated invariant is still evidence.
 func (a *Auditor) Observe(ev store.Event) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	f := a.campaigns[ev.Campaign]
-	switch ev.Type {
-	case store.EventCampaignRegistered:
-		f = &campaignFold{}
-		if ev.Spec != nil {
-			f.tasks = ev.Spec.Tasks
-		}
-		a.campaigns[ev.Campaign] = f
-	case store.EventRoundOpened:
-		if f == nil { // joined mid-stream: start following from here
-			f = &campaignFold{}
-			a.campaigns[ev.Campaign] = f
-		}
-		// Reopening the in-flight round is the recovery path: the fresh
-		// record discards the torn round's bids, exactly like the reducer.
-		f.cur = &store.RoundRecord{Round: ev.Round}
-	case store.EventBidAdmitted:
-		if rec := a.inFlight(f, ev.Round); rec != nil && ev.Bid != nil {
-			rec.Bids = append(rec.Bids, *ev.Bid)
-		}
-	case store.EventWinnersDetermined:
-		if rec := a.inFlight(f, ev.Round); rec != nil {
-			rec.Outcome = ev.Outcome
-			rec.Err = ev.Err
-		}
-	case store.EventReportReceived:
-		if rec := a.inFlight(f, ev.Round); rec != nil && ev.Settle != nil {
-			if rec.Settlements == nil {
-				rec.Settlements = make(map[auction.UserID]wire.Settle)
-			}
-			rec.Settlements[auction.UserID(ev.User)] = *ev.Settle
-		}
-	case store.EventRoundSettled:
-		rec := a.inFlight(f, ev.Round)
-		if rec == nil {
-			return // round opened before we were watching: not auditable
-		}
-		rec.Err = ev.Err
-		rec.RoundNanos = ev.RoundNanos
-		rec.ComputeNanos = ev.ComputeNanos
-		a.checkRoundLocked(ev.Campaign, f.tasks, *rec)
-		f.cur = nil
-	case store.EventCampaignFinished:
-		// Drop the fold; degraded status stays sticky on purpose — a
-		// finished campaign with a violated invariant is still evidence.
-		delete(a.campaigns, ev.Campaign)
+	if rec := a.rounds.Observe(ev); rec != nil {
+		a.checkRoundLocked(ev.Campaign, rec)
 	}
-}
-
-// inFlight returns the fold's current round record iff it matches round.
-func (a *Auditor) inFlight(f *campaignFold, round int) *store.RoundRecord {
-	if f == nil || f.cur == nil || f.cur.Round != round {
-		return nil
-	}
-	return f.cur
 }
 
 // checkRoundLocked runs the shared invariant rule set over one settled
-// round and records every finding. Caller holds a.mu.
-func (a *Auditor) checkRoundLocked(campaign string, tasks []auction.Task, rec store.RoundRecord) {
+// round and records every finding. The rule set reads bids, contracts and
+// settlements only, so the entry carries no task list. Caller holds a.mu.
+func (a *Auditor) checkRoundLocked(campaign string, rec *store.RoundRecord) {
 	a.roundsChecked++
-	entry := platform.EntryFromRecord(campaign, tasks, rec)
+	entry := platform.EntryFromRecord(campaign, nil, *rec)
 	for _, fi := range platform.CheckRound(entry) {
 		a.violations++
 		a.degraded[campaign]++

@@ -9,11 +9,12 @@ import (
 	"crowdsense/internal/obs/span"
 )
 
-// SLO defaults, following the SRE multi-window multi-burn-rate alerting
-// recipe: a p99 latency target means at most 1% of events may run slow
-// (Objective 0.01); a breach requires the burn rate — observed slow
-// fraction over the objective — to exceed a threshold in BOTH a fast
-// window (catches it quickly) and a slow window (filters blips).
+// The SLO objective, windows and burn thresholds, following the SRE
+// multi-window multi-burn-rate alerting recipe: a p99 latency target means
+// at most 1% of events may run slow (objective 0.01); a breach requires the
+// burn rate — observed slow fraction over the objective — to exceed a
+// threshold in BOTH a fast window (catches it quickly) and a slow window
+// (filters blips).
 const (
 	DefaultObjective  = 0.01
 	DefaultFastWindow = 5 * time.Minute
@@ -25,46 +26,14 @@ const (
 	maxSLOEvents = 1 << 16
 )
 
-// SLOConfig declares latency objectives over span end events.
+// SLOConfig declares latency objectives over span end events. The
+// objective, windows and burn thresholds are the Default* constants.
 type SLOConfig struct {
 	// Targets maps span names (span.NamePhaseComputing, span.NameRound, …)
 	// to their p99 duration target.
 	Targets map[string]time.Duration
-	// Objective is the allowed slow-event fraction (0 means
-	// DefaultObjective, i.e. a p99 target).
-	Objective float64
-	// FastWindow / SlowWindow are the two burn-rate windows (0 means the
-	// defaults: 5m and 1h).
-	FastWindow, SlowWindow time.Duration
-	// FastBurn / SlowBurn are the breach thresholds per window (0 means the
-	// defaults: 14.4 and 6).
-	FastBurn, SlowBurn float64
 	// Now overrides the clock (tests); nil means time.Now.
 	Now func() time.Time
-}
-
-func (c *SLOConfig) fill() {
-	if c.Objective <= 0 {
-		c.Objective = DefaultObjective
-	}
-	if c.FastWindow <= 0 {
-		c.FastWindow = DefaultFastWindow
-	}
-	if c.SlowWindow <= 0 {
-		c.SlowWindow = DefaultSlowWindow
-	}
-	if c.SlowWindow < c.FastWindow {
-		c.SlowWindow = c.FastWindow
-	}
-	if c.FastBurn <= 0 {
-		c.FastBurn = DefaultFastBurn
-	}
-	if c.SlowBurn <= 0 {
-		c.SlowBurn = DefaultSlowBurn
-	}
-	if c.Now == nil {
-		c.Now = time.Now
-	}
 }
 
 // sloEvent is one observed span end: when, and whether it ran past target.
@@ -78,9 +47,8 @@ type sloEvent struct {
 // (amortized O(1) per observe) and the four counters always describe the
 // live window contents, so burn evaluation is constant-time.
 type sloTarget struct {
-	name             string
-	target           time.Duration
-	fastWin, slowWin time.Duration
+	name   string
+	target time.Duration
 
 	mu       sync.Mutex
 	events   []sloEvent
@@ -97,16 +65,18 @@ type sloTarget struct {
 
 // sloEngine watches span end events against the configured targets.
 type sloEngine struct {
-	cfg     SLOConfig
+	now     func() time.Time
 	spans   func() *span.Tracer // the auditor's current tracer
 	targets map[string]*sloTarget
 }
 
 func newSLOEngine(cfg SLOConfig, spans func() *span.Tracer) *sloEngine {
-	cfg.fill()
-	e := &sloEngine{cfg: cfg, spans: spans, targets: make(map[string]*sloTarget, len(cfg.Targets))}
+	e := &sloEngine{now: cfg.Now, spans: spans, targets: make(map[string]*sloTarget, len(cfg.Targets))}
+	if e.now == nil {
+		e.now = time.Now
+	}
 	for name, d := range cfg.Targets {
-		e.targets[name] = &sloTarget{name: name, target: d, fastWin: cfg.FastWindow, slowWin: cfg.SlowWindow}
+		e.targets[name] = &sloTarget{name: name, target: d}
 	}
 	return e
 }
@@ -118,7 +88,7 @@ func (e *sloEngine) observe(rec *span.Record) {
 	if !ok {
 		return
 	}
-	now := e.cfg.Now()
+	now := e.now()
 	slow := rec.Duration() > t.target
 
 	t.mu.Lock()
@@ -134,8 +104,8 @@ func (e *sloEngine) observe(rec *span.Record) {
 		t.slowSlow++
 	}
 	t.evictLocked(now)
-	fastBurn, slowBurn := t.burnsLocked(e.cfg.Objective)
-	breach := t.fastTotal > 0 && fastBurn >= e.cfg.FastBurn && slowBurn >= e.cfg.SlowBurn
+	fastBurn, slowBurn := t.burnsLocked()
+	breach := t.fastTotal > 0 && fastBurn >= DefaultFastBurn && slowBurn >= DefaultSlowBurn
 	rising := breach && !t.breaching
 	t.breaching = breach
 	if rising {
@@ -156,8 +126,8 @@ func (e *sloEngine) observe(rec *span.Record) {
 // evictLocked advances both window frontiers past expired events and
 // compacts the buffer once the dead prefix dominates. Caller holds t.mu.
 func (t *sloTarget) evictLocked(now time.Time) {
-	fastCut := now.Add(-t.fastWin)
-	slowCut := now.Add(-t.slowWin)
+	fastCut := now.Add(-DefaultFastWindow)
+	slowCut := now.Add(-DefaultSlowWindow)
 	for t.slowHead < len(t.events) && (t.events[t.slowHead].t.Before(slowCut) || len(t.events)-t.slowHead > maxSLOEvents) {
 		ev := t.events[t.slowHead]
 		if ev.slow {
@@ -194,12 +164,12 @@ func (t *sloTarget) evictLocked(now time.Time) {
 
 // burnsLocked computes the fast- and slow-window burn rates. Caller holds
 // t.mu.
-func (t *sloTarget) burnsLocked(objective float64) (fast, slow float64) {
+func (t *sloTarget) burnsLocked() (fast, slow float64) {
 	if t.fastTotal > 0 {
-		fast = (float64(t.fastSlow) / float64(t.fastTotal)) / objective
+		fast = (float64(t.fastSlow) / float64(t.fastTotal)) / DefaultObjective
 	}
 	if t.slowTotal > 0 {
-		slow = (float64(t.slowSlow) / float64(t.slowTotal)) / objective
+		slow = (float64(t.slowSlow) / float64(t.slowTotal)) / DefaultObjective
 	}
 	return fast, slow
 }
@@ -225,11 +195,11 @@ func (e *sloEngine) statuses() []obs.SLOStatus {
 	out := make([]obs.SLOStatus, 0, len(e.targets))
 	for _, t := range e.targets {
 		t.mu.Lock()
-		fast, slow := t.burnsLocked(e.cfg.Objective)
+		fast, slow := t.burnsLocked()
 		out = append(out, obs.SLOStatus{
 			Name:          t.name,
 			TargetSeconds: t.target.Seconds(),
-			Objective:     e.cfg.Objective,
+			Objective:     DefaultObjective,
 			Events:        t.total,
 			SlowEvents:    t.slowCount,
 			FastBurn:      fast,

@@ -116,20 +116,23 @@ func AuditEvents(records []span.Record) []AuditEvent {
 	return out
 }
 
-// ParseSLOTargets decodes comma-separated span=duration pairs, e.g.
-// "round=250ms,phase.computing=50ms".
+// ParseSLOTargets decodes a comma-separated list of p99 latency targets,
+// e.g. "round=250ms,phase.computing=50ms". Each entry is span=duration or a
+// bare duration, which targets the round span. Blank entries are skipped,
+// so empty input yields no targets. It is the one parser behind
+// platformd's -slo-p99 and obsctl slo's -targets.
 func ParseSLOTargets(s string) (map[string]time.Duration, error) {
 	targets := make(map[string]time.Duration)
-	if s == "" {
-		return targets, nil
-	}
 	for _, part := range strings.Split(s, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
 			continue
 		}
 		name, val, ok := strings.Cut(part, "=")
-		if !ok || name == "" {
+		if !ok {
+			name, val = span.NameRound, part
+		}
+		if name == "" {
 			return nil, fmt.Errorf("spantool: bad SLO target %q: want span=duration", part)
 		}
 		d, err := time.ParseDuration(val)

@@ -270,3 +270,46 @@ func TestWriteSummaryClusterSection(t *testing.T) {
 		}
 	}
 }
+
+func TestParseSLOTargets(t *testing.T) {
+	ms := func(d int) time.Duration { return time.Duration(d) * time.Millisecond }
+	for _, tc := range []struct {
+		in   string
+		want map[string]time.Duration
+	}{
+		{"", map[string]time.Duration{}},
+		{" , ,", map[string]time.Duration{}},
+		{"250ms", map[string]time.Duration{span.NameRound: ms(250)}},
+		{"round=250ms,phase.computing=50ms", map[string]time.Duration{
+			span.NameRound: ms(250), span.NamePhaseComputing: ms(50)}},
+		{" phase.computing=1ns , 2s ", map[string]time.Duration{
+			span.NamePhaseComputing: time.Nanosecond, span.NameRound: 2 * time.Second}},
+		{"round=1s,round=2s", map[string]time.Duration{span.NameRound: 2 * time.Second}},
+	} {
+		got, err := ParseSLOTargets(tc.in)
+		if err != nil {
+			t.Errorf("ParseSLOTargets(%q): %v", tc.in, err)
+			continue
+		}
+		if len(got) != len(tc.want) {
+			t.Errorf("ParseSLOTargets(%q) = %v, want %v", tc.in, got, tc.want)
+			continue
+		}
+		for name, d := range tc.want {
+			if got[name] != d {
+				t.Errorf("ParseSLOTargets(%q)[%s] = %v, want %v", tc.in, name, got[name], d)
+			}
+		}
+	}
+	for _, in := range []string{
+		"=250ms",        // no span name
+		"round=",        // no duration
+		"round=fast",    // not a duration
+		"250",           // bare number without a unit
+		"round=1s,oops", // one bad entry rejects the list
+	} {
+		if got, err := ParseSLOTargets(in); err == nil {
+			t.Errorf("ParseSLOTargets(%q) = %v, want an error", in, got)
+		}
+	}
+}

@@ -34,29 +34,10 @@ type StoreConfig struct {
 	ReportUsers int
 }
 
-// roundFold is one campaign's in-flight round as the reputation fold sees
-// it: the declared EC-trigger PoS per admitted bid, plus the settlement
-// observations staged until the round settles. Staging is what gives the
-// fold round-boundary semantics: a torn round that is reopened after a
-// crash simply discards its stage, so the committed evidence only ever
-// advances at durable round boundaries — the same granularity checkpoints
-// are emitted at.
-type roundFold struct {
-	round    int
-	declared map[auction.UserID]float64
-	staged   []observation // settlement order — the event log's order
-}
-
-type observation struct {
-	user     auction.UserID
-	declared float64
-	success  bool
-}
-
 // Store is the live learning layer: a concurrency-safe reliability
-// estimator that folds the engine's event stream — bid_admitted carries the
-// declaration, report_received the realized EC-trigger outcome,
-// round_settled commits the round's evidence — and serves
+// estimator that folds the engine's event stream through store.RoundFold —
+// bid_admitted carries the declaration, report_received the realized
+// EC-trigger outcome, round_settled commits the round's evidence — and serves
 // reliability-discounted PoS to winner determination through the
 // mechanism.PoSAdjuster hook.
 //
@@ -73,7 +54,7 @@ type Store struct {
 	mu     sync.RWMutex
 	prior  float64
 	users  map[auction.UserID]*evidence
-	rounds map[string]*roundFold // campaign → in-flight round
+	rounds store.RoundFold
 
 	observations uint64 // settlement outcomes committed
 	committed    uint64 // rounds whose evidence has been committed
@@ -94,64 +75,43 @@ func NewStore(cfg StoreConfig) (*Store, error) {
 		reportUsers: reportUsers,
 		prior:       prior,
 		users:       make(map[auction.UserID]*evidence),
-		rounds:      make(map[string]*roundFold),
 	}, nil
 }
 
-// Observe folds one event. Rounds whose opening the store did not witness
-// are skipped — joining a stream mid-round must not commit partial
-// evidence. reputation_checkpoint events are ignored on purpose: a store
-// following the primitive event stream derives the same state the
-// checkpoint serialized, and double-applying would double-count.
+// Observe folds one event. Evidence commits only when a round settles, so
+// it advances at durable round boundaries — the granularity checkpoints are
+// emitted at. Rounds whose opening the store did not witness are skipped
+// (joining a stream mid-round must not commit partial evidence), and a torn
+// round that is reopened after a crash commits nothing. reputation_checkpoint
+// events are ignored on purpose: a store following the primitive event
+// stream derives the same state the checkpoint serialized, and
+// double-applying would double-count.
 func (s *Store) Observe(ev store.Event) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	f := s.rounds[ev.Campaign]
-	switch ev.Type {
-	case store.EventRoundOpened:
-		// A reopen after a crash replaces the torn round's fold: its staged
-		// observations die with it, exactly like the reducer discards the
-		// torn round's bids.
-		s.rounds[ev.Campaign] = &roundFold{
-			round:    ev.Round,
-			declared: make(map[auction.UserID]float64),
-		}
-	case store.EventBidAdmitted:
-		if f == nil || f.round != ev.Round || ev.Bid == nil {
-			return
-		}
+	rec := s.rounds.Observe(ev)
+	if rec == nil {
+		return
+	}
+	for _, bid := range rec.Bids {
+		settle, ok := rec.Settlements[bid.User]
 		// The EC trigger's declared probability: the task's PoS in the
 		// single-task setting is exactly the one-task CombinedPoS, so one
-		// formula covers both settings.
-		f.declared[ev.Bid.User] = ev.Bid.CombinedPoS()
-	case store.EventReportReceived:
-		if f == nil || f.round != ev.Round || ev.Settle == nil {
-			return
-		}
-		user := auction.UserID(ev.User)
-		declared, ok := f.declared[user]
+		// formula covers both settings. A report without a usable
+		// declaration has nothing to hold the user against.
+		declared := bid.CombinedPoS()
 		if !ok || !usableDeclaration(declared) {
-			return // no usable declaration to hold the user against
+			continue
 		}
-		f.staged = append(f.staged, observation{user: user, declared: declared, success: ev.Settle.Success})
-	case store.EventRoundSettled:
-		if f == nil || f.round != ev.Round {
-			return
+		e := s.users[bid.User]
+		if e == nil {
+			e = &evidence{}
+			s.users[bid.User] = e
 		}
-		for _, ob := range f.staged {
-			e := s.users[ob.user]
-			if e == nil {
-				e = &evidence{}
-				s.users[ob.user] = e
-			}
-			e.observe(ob.declared, ob.success)
-			s.observations++
-		}
-		s.committed++
-		delete(s.rounds, ev.Campaign)
-	case store.EventCampaignFinished:
-		delete(s.rounds, ev.Campaign)
+		e.observe(declared, settle.Success)
+		s.observations++
 	}
+	s.committed++
 }
 
 // Reliability returns the smoothed estimate r̂ for the user, capped;
@@ -209,7 +169,7 @@ func (s *Store) Checkpoint() store.ReputationCheckpoint {
 // recovery path: engine.Restore (and cluster promotion through it) seeds
 // the store from the last durable reputation_checkpoint so the loop resumes
 // with exactly the r̂ state the dead process had at its last settled round.
-// In-flight staging is cleared; the reopened round re-stages from the log.
+// In-flight rounds are dropped; the reopened round re-folds from the log.
 func (s *Store) Restore(cp *store.ReputationCheckpoint) error {
 	if cp == nil {
 		return nil
@@ -231,7 +191,7 @@ func (s *Store) Restore(cp *store.ReputationCheckpoint) error {
 		}
 		total += uint64(u.Observations)
 	}
-	s.rounds = make(map[string]*roundFold)
+	s.rounds = store.RoundFold{}
 	s.observations = total
 	return nil
 }

@@ -104,38 +104,15 @@ func Apply(s *State, ev Event) error {
 			return fmt.Errorf("%w: campaign %q opened round %d, want %d", ErrBadEvent, ev.Campaign, ev.Round, want)
 		}
 		cs.Current = &RoundRecord{Round: ev.Round}
-	case EventBidAdmitted:
+	case EventBidAdmitted, EventWinnersDetermined, EventReportReceived, EventRoundSettled:
 		rec, err := currentRound(cs, ev)
 		if err != nil {
 			return err
 		}
-		rec.Bids = append(rec.Bids, *ev.Bid)
-	case EventWinnersDetermined:
-		rec, err := currentRound(cs, ev)
-		if err != nil {
-			return err
+		if stepRound(rec, ev) {
+			cs.Completed = append(cs.Completed, *rec)
+			cs.Current = nil
 		}
-		rec.Outcome = ev.Outcome
-		rec.Err = ev.Err
-	case EventReportReceived:
-		rec, err := currentRound(cs, ev)
-		if err != nil {
-			return err
-		}
-		if rec.Settlements == nil {
-			rec.Settlements = make(map[auction.UserID]wire.Settle)
-		}
-		rec.Settlements[auction.UserID(ev.User)] = *ev.Settle
-	case EventRoundSettled:
-		rec, err := currentRound(cs, ev)
-		if err != nil {
-			return err
-		}
-		rec.Err = ev.Err
-		rec.RoundNanos = ev.RoundNanos
-		rec.ComputeNanos = ev.ComputeNanos
-		cs.Completed = append(cs.Completed, *rec)
-		cs.Current = nil
 	case EventCampaignFinished:
 		if cs == nil {
 			return unknownCampaign(ev)
@@ -152,6 +129,76 @@ func Apply(s *State, ev Event) error {
 	}
 	if ev.Seq > 0 {
 		s.LastSeq = ev.Seq
+	}
+	return nil
+}
+
+// stepRound folds one in-flight-round event (bid_admitted,
+// winners_determined, report_received, round_settled) into its round's
+// record and reports whether the event settled the round. It is the one
+// event → RoundRecord mapping: Apply and RoundFold both advance through it.
+// The event must be valid (Event.Validate).
+func stepRound(rec *RoundRecord, ev Event) (settled bool) {
+	switch ev.Type {
+	case EventBidAdmitted:
+		rec.Bids = append(rec.Bids, *ev.Bid)
+	case EventWinnersDetermined:
+		rec.Outcome = ev.Outcome
+		rec.Err = ev.Err
+	case EventReportReceived:
+		if rec.Settlements == nil {
+			rec.Settlements = make(map[auction.UserID]wire.Settle)
+		}
+		rec.Settlements[auction.UserID(ev.User)] = *ev.Settle
+	case EventRoundSettled:
+		rec.Err = ev.Err
+		rec.RoundNanos = ev.RoundNanos
+		rec.ComputeNanos = ev.ComputeNanos
+		return true
+	}
+	return false
+}
+
+// RoundFold is the lenient counterpart of Apply for consumers that act on
+// each settled round — the live auditor and the reputation loop — and may
+// join a stream at any point. It holds only each campaign's in-flight round,
+// never history, so it can run forever next to the engine:
+//
+//   - round_opened starts a fresh record, so a reopen after a crash discards
+//     the torn round, exactly as Apply does;
+//   - events for a round that is not in flight are ignored, so a consumer
+//     that joins mid-round never sees a partial record;
+//   - campaign_finished drops the campaign's record;
+//   - malformed events and every other event type are ignored.
+//
+// Where Apply would accept the stream, each record RoundFold settles equals
+// the one Apply archives into CampaignState.Completed. The zero value is
+// ready to use; it is not safe for concurrent use.
+type RoundFold struct {
+	inFlight map[string]*RoundRecord // campaign → in-flight round
+}
+
+// Observe folds one event and returns the round's record when the event
+// settles a round the fold saw open, nil otherwise.
+func (f *RoundFold) Observe(ev Event) *RoundRecord {
+	if ev.Validate() != nil {
+		return nil
+	}
+	switch ev.Type {
+	case EventRoundOpened:
+		if f.inFlight == nil {
+			f.inFlight = make(map[string]*RoundRecord)
+		}
+		f.inFlight[ev.Campaign] = &RoundRecord{Round: ev.Round}
+	case EventCampaignFinished:
+		delete(f.inFlight, ev.Campaign)
+	default:
+		rec := f.inFlight[ev.Campaign]
+		if rec == nil || rec.Round != ev.Round || !stepRound(rec, ev) {
+			return nil
+		}
+		delete(f.inFlight, ev.Campaign)
+		return rec
 	}
 	return nil
 }

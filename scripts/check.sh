@@ -6,7 +6,8 @@
 # fuzz targets, a one-iteration smoke run of every micro-benchmark package
 # (`make bench`; it exercises the optimized-vs-reference solver pairs end
 # to end), a check that no production binary links a *Reference solver
-# (`make prod-symbols`), and the differential and smoke gates. The commands and package
+# (`make prod-symbols`), a check that only internal/store switches on event
+# types (`make event-fold`), and the differential and smoke gates. The commands and package
 # lists live only in the Makefile. Run it from the repo root.
 set -eux
 
@@ -35,6 +36,7 @@ make --no-print-directory race
 make --no-print-directory fuzz-seed
 make --no-print-directory bench
 make --no-print-directory prod-symbols
+make --no-print-directory event-fold
 make --no-print-directory obsctl-roundtrip
 make --no-print-directory recovery-smoke
 make --no-print-directory audit-smoke
