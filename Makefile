@@ -143,3 +143,14 @@ event-fold:
 	@if grep -rn --include='*.go' --exclude='*_test.go' 'case store\.Event' . | grep -v '^\./internal/store/'; then \
 		echo "event-fold: fold events through store.Apply or store.RoundFold instead" >&2; exit 1; \
 	fi
+
+# Winner-determination fan-out gate: the knapsack and set-cover solvers are
+# serial, and the mechanism's per-winner critical-bid fan-out is the only
+# parallelism inside a mechanism run. Fails if a non-test Go file under
+# internal/knapsack or internal/setcover contains `go func`,
+# `sync.WaitGroup` or `runtime.GOMAXPROCS`.
+.PHONY: wd-fanout
+wd-fanout:
+	@if grep -rnE --include='*.go' --exclude='*_test.go' 'go func|sync\.WaitGroup|runtime\.GOMAXPROCS' internal/knapsack internal/setcover; then \
+		echo "wd-fanout: keep the solvers serial; fan out per winner in internal/mechanism instead" >&2; exit 1; \
+	fi

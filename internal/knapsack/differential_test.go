@@ -1,7 +1,9 @@
 package knapsack
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -48,30 +50,40 @@ func TestFPTASMatchesReference(t *testing.T) {
 	}
 }
 
-// TestFPTASParallelMatchesSerial forces both scheduling modes over instances
-// above the parallel threshold and pins them to the reference.
+// TestFPTASParallelMatchesSerial pins Solve to one result however many
+// processors it may use: on instances of 64 or more users, solved under
+// GOMAXPROCS 1 and 8 and twice on each Solver, the selection matches the
+// reference and the work gauges (Cells, Pruned) are identical across every
+// solve.
 func TestFPTASParallelMatchesSerial(t *testing.T) {
+	prev := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 	rng := stats.NewRand(32)
 	for trial := 0; trial < 8; trial++ {
-		in := randomInstance(rng, parallelMinN+rng.Intn(40))
+		in := randomInstance(rng, 64+rng.Intn(40))
 		want, err := SolveFPTASReference(in, 0.5)
 		if err != nil {
 			t.Fatal(err)
 		}
-		serial := NewSolver(in, 0.5)
-		serial.Parallelism = 1
-		parallel := NewSolver(in, 0.5)
-		parallel.Parallelism = 8
-		sSol, err := serial.Solve()
-		if err != nil {
-			t.Fatal(err)
+		var first *Solution
+		for _, procs := range []int{1, 8} {
+			runtime.GOMAXPROCS(procs)
+			s := NewSolver(in, 0.5)
+			for rep := 0; rep < 2; rep++ {
+				got, err := s.Solve()
+				if err != nil {
+					t.Fatal(err)
+				}
+				ctx := fmt.Sprintf("trial %d GOMAXPROCS %d solve %d", trial, procs, rep)
+				assertSameSolution(t, ctx+" vs reference", got, want)
+				if first == nil {
+					first = &got
+				} else if got.Cells != first.Cells || got.Pruned != first.Pruned {
+					t.Fatalf("%s: cells %d pruned %d, first solve cells %d pruned %d",
+						ctx, got.Cells, got.Pruned, first.Cells, first.Pruned)
+				}
+			}
 		}
-		pSol, err := parallel.Solve()
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSameSolution(t, "serial vs reference", sSol, want)
-		assertSameSolution(t, "parallel vs reference", pSol, want)
 	}
 }
 

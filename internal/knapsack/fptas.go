@@ -14,9 +14,9 @@ const DefaultEpsilon = 0.5
 // the running time is O(n⁴/ε) (Theorem 3).
 //
 // This entry point builds a one-shot Solver: pooled DP workspaces, packed
-// take-bit backtracking, incumbent-bound subproblem pruning, and a parallel
-// subproblem fan-out on large instances — selections are identical to the
-// retained SolveFPTASReference. Callers re-solving the same instance with
+// take-bit backtracking and incumbent-bound subproblem pruning, run
+// serially in ascending k — selections are identical to the retained
+// SolveFPTASReference. Callers re-solving the same instance with
 // perturbed contributions (critical-bid searches) should hold a Solver to
 // also amortize the cost sort and instance validation.
 func SolveFPTAS(in *Instance, eps float64) (Solution, error) {

@@ -7,15 +7,14 @@ import (
 	"crowdsense/internal/stats"
 )
 
-// TestSolverConcurrentSolves exercises the shapes `make race` must cover:
+// TestSolverConcurrentSolves exercises the shape `make race` must cover:
 // one shared Solver probed concurrently from many goroutines (the
-// per-winner critical-bid fan-out) while each probe's subproblem DPs fan out
-// internally, all drawing workspaces from the shared pool.
+// per-winner critical-bid fan-out), all drawing workspaces from the shared
+// pool.
 func TestSolverConcurrentSolves(t *testing.T) {
 	rng := stats.NewRand(35)
-	in := randomInstance(rng, parallelMinN+16)
+	in := randomInstance(rng, 80)
 	s := NewSolver(in, 0.5)
-	s.Parallelism = 4
 
 	want, err := s.Solve()
 	if err != nil {

@@ -3,15 +3,9 @@ package knapsack
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
 	"sync/atomic"
 )
-
-// parallelMinN is the instance size below which Solve stays serial: the
-// subproblem DPs of small instances finish faster than goroutine handoff.
-const parallelMinN = 64
 
 // lbSafety is the relative slack applied to the subproblem lower-bound
 // prune so one-ulp rounding in the scaled score can never prune a subproblem
@@ -32,19 +26,17 @@ type SolverStats struct {
 // re-solves: the cost sort (costs never change across re-solves, only one
 // user's contribution), instance re-validation, and the DP buffers (pooled
 // Workspaces). On top of the seed algorithm it prunes k-subproblems whose
-// lower bound cannot beat the incumbent best score, truncates DP budgets at
-// the incumbent, and fans the independent subproblem DPs out across a
-// bounded worker pool — all exactness-preserving, so results are identical
-// to SolveFPTASReference (pinned by differential tests).
+// lower bound cannot beat the incumbent best score and truncates DP budgets
+// at the incumbent — both exactness-preserving, so results are identical to
+// SolveFPTASReference (pinned by differential tests).
 //
-// A Solver is immutable after construction and safe for concurrent use.
+// Every solve is serial: it scans the k-subproblems in ascending k on the
+// calling goroutine, so its selection and its work gauges (Cells, Pruned)
+// are deterministic. Concurrency lives with the caller — the mechanism's
+// per-winner critical-bid fan-out probes one shared Solver from many
+// goroutines. A Solver is immutable after construction apart from its
+// atomic Stats counters, and safe for that concurrent use.
 type Solver struct {
-	// Parallelism bounds the worker goroutines Solve fans k-subproblem DPs
-	// out across; non-positive uses GOMAXPROCS. SolveWithContribution always
-	// runs serially: critical-bid searches already fan out per winner, and
-	// nesting worker pools oversubscribes the machine.
-	Parallelism int
-
 	in  *Instance
 	eps float64
 
@@ -111,22 +103,18 @@ func (s *Solver) SolveWithContribution(i int, q float64) (Solution, error) {
 	return s.solve(i, q)
 }
 
-// fptasRun is the shared state of one solve: the (possibly overridden)
-// contribution view, the racy-but-sound incumbent used for pruning, and the
-// deterministic (score, k)-lexicographic reduction of subproblem results.
+// fptasRun is the state of one solve: the (possibly overridden)
+// contribution view, the work gauges, and the best subproblem result so far,
+// whose score is the incumbent the pruning bound tests against.
 type fptasRun struct {
 	s        *Solver
 	contribs []float64
 	lbPrune  bool // fractional bound valid for this contribution view
 
-	incumbent atomicMinFloat
-	cells     atomic.Int64
-	pruned    atomic.Int64
-	wsHits    atomic.Int64
+	cells  int64
+	pruned int64
 
-	mu        sync.Mutex
 	bestScore float64
-	bestK     int
 	bestSel   []int // rank-space selection, owned copy
 }
 
@@ -147,76 +135,36 @@ func (s *Solver) solve(override int, q float64) (Solution, error) {
 		return Solution{}, ErrInfeasible
 	}
 
-	callWS, hit := getWorkspace()
-	defer putWorkspace(callWS)
-	r := &fptasRun{s: s, contribs: s.baseContribs, lbPrune: true, bestScore: math.Inf(1)}
-	r.incumbent.store(math.Inf(1))
+	ws, hit := getWorkspace()
+	defer putWorkspace(ws)
+	var reused int64
 	if hit {
-		r.wsHits.Add(1)
+		reused = 1
+		s.wsHits.Add(1)
 	}
+	r := &fptasRun{s: s, contribs: s.baseContribs, lbPrune: true, bestScore: math.Inf(1)}
 	if override >= 0 {
-		callWS.contribs = growFloats(callWS.contribs, n)
-		copy(callWS.contribs, s.baseContribs)
-		callWS.contribs[s.rankOf[override]] = q
-		r.contribs = callWS.contribs
+		ws.contribs = growFloats(ws.contribs, n)
+		copy(ws.contribs, s.baseContribs)
+		ws.contribs[s.rankOf[override]] = q
+		r.contribs = ws.contribs
 		// Raising a contribution can lower the optimum below the base
 		// instance's fractional bound; the prune is only sound downward.
 		r.lbPrune = q <= s.in.Contribs[override]
 	}
 
-	par := 1
-	if override < 0 && n >= parallelMinN {
-		par = s.Parallelism
-		if par <= 0 {
-			par = runtime.GOMAXPROCS(0)
+	// Ascending k, as in the paper: the cheap small-k DPs establish an
+	// incumbent early for the pruning bound.
+	prefix := 0.0
+	for k := 1; k <= n; k++ {
+		prefix += r.contribs[k-1]
+		if prefix < s.in.Require-FeasibilityTol {
+			continue // subproblem k is infeasible; skip the DP
 		}
-		if par > n {
-			par = n
-		}
+		r.runK(k, ws)
 	}
 
-	if par <= 1 {
-		prefix := 0.0
-		for k := 1; k <= n; k++ {
-			prefix += r.contribs[k-1]
-			if prefix < s.in.Require-FeasibilityTol {
-				continue // subproblem k is infeasible; skip the DP
-			}
-			r.runK(k, callWS)
-		}
-	} else {
-		// Feasible subproblems are dispatched in ascending k so the cheap
-		// small-k DPs establish an incumbent early for the pruning bound.
-		jobs := make(chan int, n)
-		prefix := 0.0
-		for k := 1; k <= n; k++ {
-			prefix += r.contribs[k-1]
-			if prefix < s.in.Require-FeasibilityTol {
-				continue
-			}
-			jobs <- k
-		}
-		close(jobs)
-		var wg sync.WaitGroup
-		for w := 0; w < par; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				ws, hit := getWorkspace()
-				defer putWorkspace(ws)
-				if hit {
-					r.wsHits.Add(1)
-				}
-				for k := range jobs {
-					r.runK(k, ws)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-
-	s.pruned.Add(r.pruned.Load())
-	s.wsHits.Add(r.wsHits.Load())
+	s.pruned.Add(r.pruned)
 	if r.bestSel == nil {
 		return Solution{}, ErrInfeasible
 	}
@@ -230,29 +178,28 @@ func (s *Solver) solve(override int, q float64) (Solution, error) {
 	return Solution{
 		Selected: selected,
 		Cost:     s.in.Cost(selected),
-		Cells:    r.cells.Load(),
-		Pruned:   r.pruned.Load(),
-		Reused:   r.wsHits.Load(),
+		Cells:    r.cells,
+		Pruned:   r.pruned,
+		Reused:   reused,
 	}, nil
 }
 
 // runK solves subproblem k (the k cheapest users) on the given workspace and
-// folds the result into the run. The incumbent is read racily: a stale
-// (larger) value only weakens the prune and the budget cap, never the
-// result, and the final reduction is a deterministic lexicographic min over
-// (score, k) — exactly the reference's ascending-k strictly-better scan.
+// folds the result into the run. Subproblems arrive in ascending k and only a
+// strictly better score replaces the best, so ties keep the smallest k —
+// exactly the reference's ascending-k strictly-better scan.
 func (r *fptasRun) runK(k int, w *Workspace) {
 	s := r.s
 	ck := s.sortedCosts[k-1]
 	mu := s.eps * ck / float64(k)
-	inc := r.incumbent.load()
+	inc := r.bestScore
 
 	// Lower-bound prune: any selection's scaled score is at least its true
 	// cost minus k·µ_k = ε·c_k (each floor loses < µ_k), and its true cost is
 	// at least the instance's fractional bound. Strictly above the incumbent
 	// (with safety slack), the subproblem cannot win even a tie.
 	if r.lbPrune && !math.IsInf(inc, 1) && s.fracLB-s.eps*ck > inc*(1+lbSafety)+lbSafety {
-		r.pruned.Add(1)
+		r.pruned++
 		return
 	}
 
@@ -272,25 +219,21 @@ func (r *fptasRun) runK(k int, w *Workspace) {
 			capped = true
 		}
 	}
-	r.cells.Add(int64(k) * int64(budget+1))
+	r.cells += int64(k) * int64(budget+1)
 	sel, scaledCost, ok := w.solveScaled(w.scaled, r.contribs[:k], s.in.Require, budget)
 	if !ok {
 		// The prefix-feasibility gate guarantees the uncapped DP always
 		// succeeds, so an empty result means the cap proved the subproblem
 		// cannot beat the incumbent.
 		if capped {
-			r.pruned.Add(1)
+			r.pruned++
 		}
 		return
 	}
-	score := float64(scaledCost) * mu
-	r.incumbent.updateMin(score)
-	r.mu.Lock()
-	if score < r.bestScore || (score == r.bestScore && k < r.bestK) {
-		r.bestScore, r.bestK = score, k
+	if score := float64(scaledCost) * mu; score < r.bestScore {
+		r.bestScore = score
 		r.bestSel = append(r.bestSel[:0], sel...)
 	}
-	r.mu.Unlock()
 }
 
 // fractionalBound is the LP relaxation of the minimum knapsack: fill the
@@ -328,21 +271,4 @@ func fractionalBound(in *Instance) float64 {
 		return math.Inf(1) // infeasible; Solve rejects before pruning matters
 	}
 	return lb
-}
-
-// atomicMinFloat is a lock-free running minimum over non-negative float64
-// values (bit patterns of non-negative floats order like the values).
-type atomicMinFloat struct{ bits atomic.Uint64 }
-
-func (m *atomicMinFloat) store(v float64) { m.bits.Store(math.Float64bits(v)) }
-func (m *atomicMinFloat) load() float64   { return math.Float64frombits(m.bits.Load()) }
-
-func (m *atomicMinFloat) updateMin(v float64) {
-	nb := math.Float64bits(v)
-	for {
-		ob := m.bits.Load()
-		if math.Float64frombits(ob) <= v || m.bits.CompareAndSwap(ob, nb) {
-			return
-		}
-	}
 }

@@ -11,8 +11,8 @@ import (
 // value array, the packed take-bit matrix, the scaled-cost slice, the
 // backtrack scratch, and a contribution-override scratch — so a steady-state
 // solve allocates nothing. Workspaces are recycled through a package-level
-// sync.Pool; Solver goroutines check one out per worker, run any number of
-// subproblems through it, and return it.
+// sync.Pool; each solve checks one out, runs all its subproblems through
+// it, and returns it.
 //
 // The take matrix is packed: row j of a k-item subproblem is words uint64
 // values covering budget+1 bits, ≈8× smaller than the seed's [][]bool and

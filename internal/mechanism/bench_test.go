@@ -23,16 +23,18 @@ func BenchmarkSingleTaskRun(b *testing.B) {
 }
 
 // BenchmarkSingleTaskRunReference runs the full mechanism through the
-// retained seed solver (serial, per-probe instance rebuilds): the baseline
-// the optimized path's speedup is measured against. Under -short (the
-// `make bench` smoke) only n < 100 runs: n=200 alone takes minutes.
+// retained seed solver (per-probe instance rebuilds) under GOMAXPROCS 1, so
+// the critical-bid searches run serially: the baseline the optimized path's
+// speedup is measured against. Under -short (the `make bench` smoke) only
+// n < 100 runs: n=200 alone takes minutes.
 func BenchmarkSingleTaskRunReference(b *testing.B) {
+	setProcs(b, 1)
 	for _, n := range []int{20, 50, 100, 200} {
 		if testing.Short() && n >= 100 {
 			continue
 		}
 		a := randomSingleAuction(stats.NewRand(int64(n)), n, 0.8)
-		m := &SingleTask{Epsilon: 0.5, Alpha: 10, Parallelism: 1}
+		m := &SingleTask{Epsilon: 0.5, Alpha: 10}
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -68,9 +70,10 @@ func BenchmarkMultiTaskRun(b *testing.B) {
 }
 
 // BenchmarkMultiTaskRunReference is the seed baseline: reference greedy
-// cover and serial per-winner critical-bid searches. Under -short only
-// n < 100 runs.
+// cover and, under GOMAXPROCS 1, serial per-winner critical-bid searches.
+// Under -short only n < 100 runs.
 func BenchmarkMultiTaskRunReference(b *testing.B) {
+	setProcs(b, 1)
 	for _, mode := range []struct {
 		name string
 		mode CriticalBidMode
@@ -83,7 +86,7 @@ func BenchmarkMultiTaskRunReference(b *testing.B) {
 				continue
 			}
 			a := randomMultiAuction(stats.NewRand(3), nt[0], nt[1], 0.8)
-			m := &MultiTask{Alpha: 10, CriticalBid: mode.mode, Parallelism: 1}
+			m := &MultiTask{Alpha: 10, CriticalBid: mode.mode}
 			b.Run(fmt.Sprintf("n=%d/t=%d/%s", nt[0], nt[1], mode.name), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {

@@ -2,6 +2,7 @@ package mechanism
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"crowdsense/internal/auction"
@@ -27,6 +28,14 @@ func referenceKnapsack(eps float64) func(*knapsack.Instance) knapsackSolve {
 			return knapsack.SolveFPTASReference(mod, eps)
 		}
 	}
+}
+
+// setProcs sets runtime.GOMAXPROCS to n, the bound of the per-winner
+// critical-bid fan-out, until tb ends; tb.Cleanup restores the previous
+// setting.
+func setProcs(tb testing.TB, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	tb.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
 // referenceCover is the retained seed cover for MultiTask.run.
@@ -101,16 +110,15 @@ func TestSingleTaskMatchesReferenceSolvers(t *testing.T) {
 // TestMultiTaskMatchesReferenceSolvers does the same for the multi-task
 // mechanism in both critical-bid modes: the lazy-greedy cover (and its
 // iteration trace, which prices Algorithm 5 rewards) must reproduce the
-// seed's payments exactly, serial or fanned out.
+// seed's payments exactly.
 func TestMultiTaskMatchesReferenceSolvers(t *testing.T) {
 	rng := stats.NewRand(52)
 	for _, mode := range []CriticalBidMode{CriticalBidPaper, CriticalBidScaled} {
 		for trial := 0; trial < 25; trial++ {
 			a := randomMultiAuction(rng, 6+rng.Intn(20), 2+rng.Intn(6), 0.8)
 			opt := &MultiTask{Alpha: 10, CriticalBid: mode}
-			ref := &MultiTask{Alpha: 10, CriticalBid: mode, Parallelism: 1}
 			got, errGot := opt.Run(a)
-			want, errWant := ref.run(a, referenceCover)
+			want, errWant := opt.run(a, referenceCover)
 			if (errGot == nil) != (errWant == nil) {
 				t.Fatalf("mode %d trial %d: err %v vs reference %v", mode, trial, errGot, errWant)
 			}
@@ -128,19 +136,46 @@ func TestMultiTaskMatchesReferenceSolvers(t *testing.T) {
 	}
 }
 
-// TestMultiTaskFanOutMatchesSerial pins the bounded per-winner fan-out to
-// the serial path: parallelism must change scheduling only, never awards.
-func TestMultiTaskFanOutMatchesSerial(t *testing.T) {
-	rng := stats.NewRand(53)
-	for trial := 0; trial < 10; trial++ {
-		a := randomMultiAuction(rng, 20, 6, 0.8)
-		serial := &MultiTask{Alpha: 10, CriticalBid: CriticalBidScaled, Parallelism: 1}
-		fanned := &MultiTask{Alpha: 10, CriticalBid: CriticalBidScaled, Parallelism: 8}
-		got, err := fanned.Run(a)
+// TestSingleTaskFanOutMatchesSerial pins the per-winner critical-bid
+// fan-out to the serial path on auctions of 64 to 100 bids: GOMAXPROCS must
+// change scheduling only, never awards nor the allocation's DP work gauges.
+func TestSingleTaskFanOutMatchesSerial(t *testing.T) {
+	rng := stats.NewRand(54)
+	m := &SingleTask{Epsilon: 0.5, Alpha: 10}
+	for trial := 0; trial < 4; trial++ {
+		a := randomSingleAuction(rng, 64+rng.Intn(37), 0.8)
+		setProcs(t, 8)
+		got, err := m.Run(a)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := serial.Run(a)
+		setProcs(t, 1)
+		want, err := m.Run(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameOutcome(t, trial, got, want)
+		if got.Stats.DPCells != want.Stats.DPCells || got.Stats.DPPruned != want.Stats.DPPruned {
+			t.Fatalf("trial %d: fanned cells %d pruned %d, serial cells %d pruned %d", trial,
+				got.Stats.DPCells, got.Stats.DPPruned, want.Stats.DPCells, want.Stats.DPPruned)
+		}
+	}
+}
+
+// TestMultiTaskFanOutMatchesSerial pins the bounded per-winner fan-out to
+// the serial path: GOMAXPROCS must change scheduling only, never awards.
+func TestMultiTaskFanOutMatchesSerial(t *testing.T) {
+	rng := stats.NewRand(53)
+	m := &MultiTask{Alpha: 10, CriticalBid: CriticalBidScaled}
+	for trial := 0; trial < 10; trial++ {
+		a := randomMultiAuction(rng, 20, 6, 0.8)
+		setProcs(t, 8)
+		got, err := m.Run(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		setProcs(t, 1)
+		want, err := m.Run(a)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -25,6 +25,7 @@ package mechanism
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 
 	"crowdsense/internal/auction"
@@ -193,15 +194,17 @@ func ecAward(bidIndex int, bid auction.Bid, criticalQ, declaredTotalQ, alpha flo
 
 // priceWinners fills out.Awards with every winner's execution-contingent
 // award. The critical-bid searches are independent per winner, so they fan
-// out over at most par goroutines; each runs under its own wd.critical_bid
-// span under trace, which ends with the search's work count (attribute
-// work) and critical_q, or with the error. critical returns the winner's
-// critical contribution and work count; declared returns the bid's
-// declared contribution the award is priced against. The first error wins.
-func priceWinners(trace *span.Span, par int, a *auction.Auction, out *Outcome, work string,
+// out over at most GOMAXPROCS goroutines; this is the only parallelism
+// inside a mechanism run, as the solvers are serial. Each search runs under
+// its own wd.critical_bid span under trace, which ends with the search's
+// work count (attribute work) and critical_q, or with the error. critical
+// returns the winner's critical contribution and work count; declared
+// returns the bid's declared contribution the award is priced against. The
+// first error wins.
+func priceWinners(trace *span.Span, a *auction.Auction, out *Outcome, work string,
 	declared func(auction.Bid) float64,
 	critical func(sp *span.Span, winner int) (float64, int64, error)) error {
-	sem := make(chan struct{}, par)
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sync/atomic"
 
 	"crowdsense/internal/auction"
@@ -45,9 +44,6 @@ type MultiTask struct {
 	// CriticalBid selects the critical-bid computation; zero means
 	// CriticalBidPaper.
 	CriticalBid CriticalBidMode
-	// Parallelism bounds the goroutines used for per-winner critical-bid
-	// searches; non-positive uses GOMAXPROCS.
-	Parallelism int
 	// Trace, when non-nil, is the parent span under which Run emits
 	// wd.allocate, wd.critical_bid, and per-rerun setcover.greedy spans. Nil
 	// disables tracing at zero cost.
@@ -63,21 +59,14 @@ var _ Mechanism = (*MultiTask)(nil)
 // Name implements Mechanism.
 func (m *MultiTask) Name() string { return "multi-task greedy" }
 
-func (m *MultiTask) parallelism() int {
-	if m.Parallelism > 0 {
-		return m.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // coverSolve is the cover one MultiTask run prices through, emitting a
 // setcover.greedy span under sp. Run passes setcover.GreedyTraced; the
 // differential tests and reference benchmarks pass the retained seed cover.
 type coverSolve func(a *auction.Auction, sp *span.Span) (setcover.Solution, error)
 
 // Run executes winner determination and reward calculation. Per-winner
-// critical-bid searches are independent and fan out across a bounded worker
-// pool, mirroring SingleTask.
+// critical-bid searches are independent and fan out over at most GOMAXPROCS
+// goroutines, mirroring SingleTask.
 func (m *MultiTask) Run(a *auction.Auction) (*Outcome, error) {
 	return m.run(a, setcover.GreedyTraced)
 }
@@ -112,7 +101,7 @@ func (m *MultiTask) run(a *auction.Auction, solve coverSolve) (*Outcome, error) 
 	}
 	var reevals atomic.Int64
 	reevals.Add(sol.Evals)
-	err = priceWinners(m.Trace, m.parallelism(), a, out, "evals",
+	err = priceWinners(m.Trace, a, out, "evals",
 		auction.Bid.TotalContribution,
 		func(sp *span.Span, winner int) (criticalQ float64, evals int64, err error) {
 			switch m.CriticalBid {

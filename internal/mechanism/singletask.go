@@ -3,7 +3,6 @@ package mechanism
 import (
 	"errors"
 	"fmt"
-	"runtime"
 
 	"crowdsense/internal/auction"
 	"crowdsense/internal/knapsack"
@@ -21,17 +20,15 @@ const CriticalBidTol = 1e-9
 //
 // Winner determination and every critical-bid probe run through one shared
 // knapsack.Solver, so the cost sort, instance validation, and DP workspaces
-// are paid once per Run instead of once per probe.
+// are paid once per Run instead of once per probe. The allocation solve is
+// serial; the per-winner critical-bid searches fan out over at most
+// GOMAXPROCS goroutines, each probing the shared Solver.
 type SingleTask struct {
 	// Epsilon is the FPTAS approximation parameter; non-positive values use
 	// knapsack.DefaultEpsilon.
 	Epsilon float64
 	// Alpha is the reward scaling factor; zero uses DefaultAlpha.
 	Alpha float64
-	// Parallelism bounds the goroutines used for per-winner critical-bid
-	// searches and the allocation's subproblem fan-out; non-positive uses
-	// GOMAXPROCS.
-	Parallelism int
 	// Trace, when non-nil, is the parent span (typically the engine's
 	// winner-determination span) under which Run emits wd.allocate,
 	// wd.critical_bid, and per-probe knapsack.solve spans. Nil disables
@@ -57,13 +54,6 @@ func (m *SingleTask) epsilon() float64 {
 	return m.Epsilon
 }
 
-func (m *SingleTask) parallelism() int {
-	if m.Parallelism > 0 {
-		return m.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // knapsackSolve is the solver one SingleTask run prices through: it solves
 // the run's instance with user i's contribution replaced by q, or as
 // declared when i < 0, emitting knapsack.solve spans under sp. Run passes
@@ -77,7 +67,6 @@ func (m *SingleTask) Run(a *auction.Auction) (*Outcome, error) {
 	var solver *knapsack.Solver
 	out, err := m.run(a, func(in *knapsack.Instance) knapsackSolve {
 		solver = knapsack.NewSolver(in, m.epsilon())
-		solver.Parallelism = m.parallelism()
 		return func(sp *span.Span, i int, q float64) (knapsack.Solution, error) {
 			if i < 0 {
 				return solver.SolveTraced(sp)
@@ -128,7 +117,7 @@ func (m *SingleTask) run(a *auction.Auction, newSolve func(*knapsack.Instance) k
 		Alpha:      alpha,
 		Stats:      Stats{DPCells: sol.Cells},
 	}
-	err = priceWinners(m.Trace, m.parallelism(), a, out, "probes",
+	err = priceWinners(m.Trace, a, out, "probes",
 		func(bid auction.Bid) float64 { return bid.Contribution(taskID) },
 		func(sp *span.Span, winner int) (float64, int64, error) {
 			return criticalContribution(sp, solve, in, winner)

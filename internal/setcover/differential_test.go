@@ -47,14 +47,13 @@ func assertSameCover(t *testing.T, trial int, got, want Solution) {
 }
 
 // TestGreedyMatchesReference is the core differential pin across randomized
-// multi-task instances, including sizes above the parallel initial-scoring
-// threshold.
+// multi-task instances, every tenth with 128 bids or more.
 func TestGreedyMatchesReference(t *testing.T) {
 	rng := stats.NewRand(41)
 	for trial := 0; trial < 200; trial++ {
 		n := 5 + rng.Intn(40)
 		if trial%10 == 0 {
-			n = parallelEvalMinBids + rng.Intn(40)
+			n = 128 + rng.Intn(40)
 		}
 		a := randomAuction(rng, n, 2+rng.Intn(12), 5, 0.8)
 		got, errGot := Greedy(a)

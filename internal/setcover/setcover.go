@@ -11,9 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
 
 	"crowdsense/internal/auction"
 )
@@ -98,11 +96,6 @@ func CoverageValue(a *auction.Auction, selected []int) float64 {
 	}
 	return total
 }
-
-// parallelEvalMinBids is the bid count from which Greedy fans the initial
-// candidate scoring out across GOMAXPROCS goroutines; below it the scan is
-// cheaper than goroutine handoff.
-const parallelEvalMinBids = 128
 
 // lazyCand is one heap entry of the lazy greedy: a bid, its last-computed
 // effective contribution and ratio, and the round that computation was made
@@ -265,10 +258,10 @@ func Greedy(a *auction.Auction) (Solution, error) {
 	}
 
 	var sol Solution
-	effs := scoreAllBids(g, len(a.Bids))
 	sol.Evals = int64(len(a.Bids))
 	h := make(lazyHeap, 0, len(a.Bids))
-	for i, eff := range effs {
+	for i := range a.Bids {
+		eff := g.effective(i)
 		if eff <= FeasibilityTol {
 			// Effective contributions only shrink; a bid useless now is
 			// useless in every later round too.
@@ -323,40 +316,6 @@ func Greedy(a *auction.Auction) (Solution, error) {
 	}
 	sort.Ints(sol.Selected)
 	return sol, nil
-}
-
-// scoreAllBids computes every bid's initial effective contribution, fanning
-// out across GOMAXPROCS goroutines on large instances. Each worker writes
-// disjoint index ranges, so the result is deterministic.
-func scoreAllBids(g *greedyState, n int) []float64 {
-	effs := make([]float64, n)
-	workers := runtime.GOMAXPROCS(0)
-	if n < parallelEvalMinBids || workers < 2 {
-		for i := range effs {
-			effs[i] = g.effective(i)
-		}
-		return effs
-	}
-	if workers > n {
-		workers = n
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				effs[i] = g.effective(i)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	return effs
 }
 
 // Exhaustive enumerates all subsets for the exact optimum. It refuses
