@@ -154,3 +154,16 @@ wd-fanout:
 	@if grep -rnE --include='*.go' --exclude='*_test.go' 'go func|sync\.WaitGroup|runtime\.GOMAXPROCS' internal/knapsack internal/setcover; then \
 		echo "wd-fanout: keep the solvers serial; fan out per winner in internal/mechanism instead" >&2; exit 1; \
 	fi
+
+# Ops-surface gate under the race detector: a node that leads two shards
+# after a promotion must export every led shard's engine, WAL, audit and
+# reputation families, each sample shard-labelled, under one # TYPE line
+# per family name. The shard label is applied in one place, the cluster
+# node: fails if a non-test Go file outside internal/cluster contains
+# `Name: "shard"`.
+.PHONY: ops-surface
+ops-surface:
+	$(GO) test -race -run TestNodeMetricsAfterPromotion ./internal/cluster
+	@if grep -rn --include='*.go' --exclude='*_test.go' 'Name: "shard"' . | grep -v '^\./internal/cluster/'; then \
+		echo "ops-surface: label per-shard families in internal/cluster (obs.WithLabel) instead" >&2; exit 1; \
+	fi

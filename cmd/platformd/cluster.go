@@ -150,13 +150,7 @@ func runCluster(ctx context.Context, o clusterOptions) error {
 	if o.metricsAddr != "" {
 		srv, err := obs.Serve(o.metricsAddr, obs.Options{
 			Gather: func() []obs.Family {
-				fams := node.MetricFamilies()
-				if eng := node.Engine(o.shard); eng != nil {
-					fams = append(fams, eng.MetricFamilies()...)
-				}
-				fams = append(fams, node.AuditFamilies()...)
-				fams = append(fams, node.ReputationFamilies()...)
-				fams = append(fams, obs.JournalFamilies(o.journal)...)
+				fams := append(node.MetricFamilies(), obs.JournalFamilies(o.journal)...)
 				fams = append(fams, obs.RuntimeFamilies()...)
 				return append(fams, buildinfo.Family())
 			},

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"crowdsense/internal/obs"
-	"crowdsense/internal/obs/audit"
 )
 
 // clusterStats are a node's monotonic replication/failover counters, updated
@@ -23,17 +22,45 @@ type clusterStats struct {
 	appliedSeq       atomic.Uint64 // follower's durable replica position
 }
 
-// MetricFamilies renders the node's cluster metrics for the ops endpoint,
-// merged by the caller with the engine's and WAL's own families.
+// shardLabel is the label every per-shard sample a node exports carries.
+func shardLabel(shard string) obs.Label { return obs.Label{Name: "shard", Value: shard} }
+
+// MetricFamilies renders everything the node exports on /metrics: its
+// crowdsense_cluster_* families, then — per led shard, in shard order — the
+// shard's engine, WAL, auditor and reputation families with a shard label
+// prepended. A node that leads two shards after a promotion therefore
+// repeats family names; obs.RenderMetrics merges them under one header.
 func (n *Node) MetricFamilies() []obs.Family {
+	fams := n.clusterFamilies()
+	for _, s := range n.led() {
+		own := append(s.eng.MetricFamilies(), s.wal.Families()...)
+		if s.aud != nil {
+			own = append(own, s.aud.Families()...)
+		}
+		if s.rep != nil {
+			own = append(own, s.rep.Families()...)
+		}
+		fams = append(fams, obs.WithLabel(own, shardLabel(s.id))...)
+	}
+	return fams
+}
+
+// clusterFamilies renders the node's replication and failover state.
+func (n *Node) clusterFamilies() []obs.Family {
 	s := &n.stats
 
 	roleValue := map[string]float64{RoleFollower: 0, RoleLeader: 1, RoleRecovering: 2}
-	var roleSamples []obs.Sample
-	for shard, role := range n.Roles() {
+	roles := n.Roles()
+	shards := make([]string, 0, len(roles))
+	for shard := range roles {
+		shards = append(shards, shard)
+	}
+	sort.Strings(shards)
+	roleSamples := make([]obs.Sample, 0, len(shards))
+	for _, shard := range shards {
 		roleSamples = append(roleSamples, obs.Sample{
-			Labels: []obs.Label{{Name: "shard", Value: shard}, {Name: "role", Value: role}},
-			Value:  roleValue[role],
+			Labels: []obs.Label{shardLabel(shard), {Name: "role", Value: roles[shard]}},
+			Value:  roleValue[roles[shard]],
 		})
 	}
 
@@ -120,36 +147,4 @@ func (n *Node) MetricFamilies() []obs.Family {
 			Samples: []obs.Sample{{Value: time.Duration(s.failoverNs.Load()).Seconds()}},
 		},
 	}
-}
-
-// AuditFamilies renders every led shard's auditor metrics, merged so each
-// family name appears once with shard-labelled samples — a node that
-// promoted itself leads two shards, and duplicate family headers would
-// break the exposition format. Empty when auditing is off.
-func (n *Node) AuditFamilies() []obs.Family {
-	n.mu.Lock()
-	var shards []string
-	byShard := make(map[string]*audit.Auditor)
-	for shard, s := range n.shards {
-		if s.role == RoleLeader && s.aud != nil {
-			shards = append(shards, shard)
-			byShard[shard] = s.aud
-		}
-	}
-	n.mu.Unlock()
-	sort.Strings(shards)
-
-	var merged []obs.Family
-	index := make(map[string]int) // family name → merged position
-	for _, shard := range shards {
-		for _, f := range byShard[shard].Families() {
-			if at, ok := index[f.Name]; ok {
-				merged[at].Samples = append(merged[at].Samples, f.Samples...)
-				continue
-			}
-			index[f.Name] = len(merged)
-			merged = append(merged, f)
-		}
-	}
-	return merged
 }

@@ -111,13 +111,20 @@ func (c NodeConfig) dialRetry() time.Duration {
 }
 
 // shardState is one shard's presence on a node: the role, and — when
-// leading — the live engine, WAL, and (when enabled) auditor.
+// leading — the live engine, WAL, and (when enabled) auditor and reputation
+// store.
 type shardState struct {
 	role string
 	eng  *engine.Engine
 	wal  *store.WAL
 	aud  *audit.Auditor
 	rep  *reputation.Store
+}
+
+// ledShard is one entry of a Node.led snapshot: a led shard and its parts.
+type ledShard struct {
+	id string
+	shardState
 }
 
 // Node is one platformd process's cluster presence: leader of cfg.Shard,
@@ -154,16 +161,14 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		cancel: cancel,
 		shards: make(map[string]*shardState),
 	}
-	eng, wal, aud, rep, err := n.startLeader(cfg.Shard, cfg.StateDir, cfg.AgentAddr, cfg.Campaigns)
+	led, err := n.startLeader(cfg.Shard, cfg.StateDir, cfg.AgentAddr, cfg.Campaigns)
 	if err != nil {
 		cancel()
 		return nil, err
 	}
-	n.mu.Lock()
-	n.shards[cfg.Shard] = &shardState{role: RoleLeader, eng: eng, wal: wal, aud: aud, rep: rep}
-	n.mu.Unlock()
+	n.setShard(cfg.Shard, led)
 	if cfg.RepAddr != "" {
-		rep, err := newRepServer(n, cfg.Shard, cfg.RepAddr, wal)
+		rep, err := newRepServer(n, cfg.Shard, cfg.RepAddr, led.wal)
 		if err != nil {
 			n.Close()
 			return nil, err
@@ -175,9 +180,7 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 			n.Close()
 			return nil, errors.New("cluster: follow needs Shard, LeaderRep, StateDir, AgentAddr")
 		}
-		n.mu.Lock()
-		n.shards[f.Shard] = &shardState{role: RoleFollower}
-		n.mu.Unlock()
+		n.setShard(f.Shard, &shardState{role: RoleFollower})
 		n.wg.Add(1)
 		go func() {
 			defer n.wg.Done()
@@ -188,17 +191,16 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 }
 
 // startLeader recovers dir, builds an engine serving the shard's campaigns
-// on addr, and runs it. Fresh state registers the configured campaigns;
-// recovered state resumes them. With NodeConfig.Audit set, a per-shard
-// auditor rides the engine's store fan-out after the WAL and its status
-// gates readiness.
-// With NodeConfig.Reputation set, a per-shard reputation store rides the
-// engine's emit path and is seeded from the recovered state's last durable
-// checkpoint.
-func (n *Node) startLeader(shard, dir, addr string, campaigns []engine.CampaignConfig) (*engine.Engine, *store.WAL, *audit.Auditor, *reputation.Store, error) {
+// on addr, runs it, and returns the shard's leader state. Fresh state
+// registers the configured campaigns; recovered state resumes them. With
+// NodeConfig.Audit set, a per-shard auditor rides the engine's store fan-out
+// after the WAL and its status gates readiness. With NodeConfig.Reputation
+// set, a per-shard reputation store rides the engine's emit path and is
+// seeded from the recovered state's last durable checkpoint.
+func (n *Node) startLeader(shard, dir, addr string, campaigns []engine.CampaignConfig) (*shardState, error) {
 	rec, err := platform.Recover(dir, n.sinks()...)
 	if err != nil {
-		return nil, nil, nil, nil, err
+		return nil, err
 	}
 	ecfg := n.cfg.Engine
 	ecfg.NodeID = n.cfg.Name
@@ -206,7 +208,7 @@ func (n *Node) startLeader(shard, dir, addr string, campaigns []engine.CampaignC
 	ecfg.SpanSinks = append(ecfg.SpanSinks, n.cfg.SpanSinks...)
 	var aud *audit.Auditor
 	if n.cfg.Audit {
-		acfg := audit.Config{Shard: shard}
+		var acfg audit.Config
 		if n.cfg.AuditSLO != nil {
 			slo := *n.cfg.AuditSLO
 			acfg.SLO = &slo
@@ -221,11 +223,10 @@ func (n *Node) startLeader(shard, dir, addr string, campaigns []engine.CampaignC
 	}
 	var rep *reputation.Store
 	if n.cfg.Reputation {
-		rep, err = reputation.NewStore(reputation.StoreConfig{
-			PriorStrength: n.cfg.ReputationPrior, Shard: shard})
+		rep, err = reputation.NewStore(reputation.StoreConfig{PriorStrength: n.cfg.ReputationPrior})
 		if err != nil {
 			rec.WAL.Close()
-			return nil, nil, nil, nil, fmt.Errorf("cluster: shard %s reputation: %w", shard, err)
+			return nil, fmt.Errorf("cluster: shard %s reputation: %w", shard, err)
 		}
 		// The engine feeds the store on the emit path and seeds it from
 		// rec.State.Reputation inside Restore, so a promoted follower picks
@@ -239,7 +240,7 @@ func (n *Node) startLeader(shard, dir, addr string, campaigns []engine.CampaignC
 	if rec.HasCampaigns() {
 		if err := eng.Restore(rec.State); err != nil {
 			rec.WAL.Close()
-			return nil, nil, nil, nil, fmt.Errorf("cluster: restore shard %s: %w", shard, err)
+			return nil, fmt.Errorf("cluster: restore shard %s: %w", shard, err)
 		}
 		n.logf("node %s: shard %s restored (%d campaigns, %d events replayed)",
 			n.cfg.Name, shard, len(rec.State.Order), rec.Info.ReplayedEvents)
@@ -247,13 +248,13 @@ func (n *Node) startLeader(shard, dir, addr string, campaigns []engine.CampaignC
 		for _, cc := range campaigns {
 			if err := eng.AddCampaign(cc); err != nil {
 				rec.WAL.Close()
-				return nil, nil, nil, nil, fmt.Errorf("cluster: register %s on shard %s: %w", cc.ID, shard, err)
+				return nil, fmt.Errorf("cluster: register %s on shard %s: %w", cc.ID, shard, err)
 			}
 		}
 	}
 	if err := eng.Listen(addr); err != nil {
 		rec.WAL.Close()
-		return nil, nil, nil, nil, fmt.Errorf("cluster: shard %s: %w", shard, err)
+		return nil, fmt.Errorf("cluster: shard %s: %w", shard, err)
 	}
 	n.wg.Add(1)
 	go func() {
@@ -262,16 +263,14 @@ func (n *Node) startLeader(shard, dir, addr string, campaigns []engine.CampaignC
 			n.logf("node %s: shard %s engine: %v", n.cfg.Name, shard, err)
 		}
 	}()
-	return eng, rec.WAL, aud, rep, nil
+	return &shardState{role: RoleLeader, eng: eng, wal: rec.WAL, aud: aud, rep: rep}, nil
 }
 
 // AgentAddr returns the bound agent address for a shard this node currently
 // leads ("" otherwise) — tests and examples use it with ":0" listeners.
 func (n *Node) AgentAddr(shard string) string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if s := n.shards[shard]; s != nil && s.role == RoleLeader && s.eng != nil {
-		if a := s.eng.Addr(); a != nil {
+	if eng := n.Engine(shard); eng != nil {
+		if a := eng.Addr(); a != nil {
 			return a.String()
 		}
 	}
@@ -287,24 +286,40 @@ func (n *Node) RepAddr() string {
 	return n.rep.addr()
 }
 
-// Engine returns the live engine for a shard this node leads, nil otherwise.
-func (n *Node) Engine(shard string) *engine.Engine {
+// leading returns shard's state if this node leads it, the zero state
+// otherwise.
+func (n *Node) leading(shard string) shardState {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if s := n.shards[shard]; s != nil && s.role == RoleLeader {
-		return s.eng
+		return *s
 	}
-	return nil
+	return shardState{}
 }
 
+// Engine returns the live engine for a shard this node leads, nil otherwise.
+func (n *Node) Engine(shard string) *engine.Engine { return n.leading(shard).eng }
+
 // WAL returns the live WAL for a shard this node leads, nil otherwise.
-func (n *Node) WAL(shard string) *store.WAL {
+func (n *Node) WAL(shard string) *store.WAL { return n.leading(shard).wal }
+
+// Reputation returns the live reputation store for a shard this node leads,
+// nil otherwise (or when the loop is disabled).
+func (n *Node) Reputation(shard string) *reputation.Store { return n.leading(shard).rep }
+
+// led snapshots the shards this node leads, sorted by shard — the one view
+// behind readiness, the /debug reports and the per-shard metric families.
+func (n *Node) led() []ledShard {
 	n.mu.Lock()
-	defer n.mu.Unlock()
-	if s := n.shards[shard]; s != nil && s.role == RoleLeader {
-		return s.wal
+	out := make([]ledShard, 0, len(n.shards))
+	for id, s := range n.shards {
+		if s.role == RoleLeader {
+			out = append(out, ledShard{id: id, shardState: *s})
+		}
 	}
-	return nil
+	n.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
+	return out
 }
 
 // Roles reports every shard this node participates in and its current role —
@@ -323,36 +338,22 @@ func (n *Node) Roles() map[string]string {
 // and, when auditing is on, each led shard's audit status — one degraded
 // shard answers 503 for the whole node (obs.Readiness.OK).
 func (n *Node) Readiness() obs.Readiness {
-	n.mu.Lock()
-	var leaders []*engine.Engine
-	roles := make(map[string]string, len(n.shards))
-	audits := make(map[string]*audit.Auditor)
-	for shard, s := range n.shards {
-		roles[shard] = s.role
-		if s.role == RoleLeader && s.eng != nil {
-			leaders = append(leaders, s.eng)
-			if s.aud != nil {
-				audits[shard] = s.aud
-			}
-		}
-	}
-	n.mu.Unlock()
-
+	roles := n.Roles()
 	rep := obs.Readiness{Campaigns: map[string]obs.CampaignStatus{}, Shards: roles}
-	for _, eng := range leaders {
-		er := eng.Readiness()
+	for _, s := range n.led() {
+		er := s.eng.Readiness()
 		if rep.Health.Status == "" || !er.Health.OK() {
 			rep.Health = er.Health
 		}
 		for id, st := range er.Campaigns {
 			rep.Campaigns[id] = st
 		}
-	}
-	for shard, aud := range audits {
-		if rep.ShardAudit == nil {
-			rep.ShardAudit = make(map[string]*obs.AuditStatus, len(audits))
+		if s.aud != nil {
+			if rep.ShardAudit == nil {
+				rep.ShardAudit = make(map[string]*obs.AuditStatus)
+			}
+			rep.ShardAudit[s.id] = s.aud.Status()
 		}
-		rep.ShardAudit[shard] = aud.Status()
 	}
 	for _, role := range roles {
 		if role == RoleRecovering {
@@ -365,97 +366,39 @@ func (n *Node) Readiness() obs.Readiness {
 	return rep
 }
 
-// AuditReports collects the led shards' /debug/audit payloads, sorted by
-// shard. Empty (not nil) when auditing is off.
+// AuditReports collects the led shards' /debug/audit payloads, sorted and
+// stamped by shard. Empty (not nil) when auditing is off.
 func (n *Node) AuditReports() []obs.AuditReport {
-	n.mu.Lock()
-	var audits []*audit.Auditor
-	for _, s := range n.shards {
-		if s.role == RoleLeader && s.aud != nil {
-			audits = append(audits, s.aud)
+	reports := []obs.AuditReport{}
+	for _, s := range n.led() {
+		if s.aud != nil {
+			r := s.aud.Report()
+			r.Shard = s.id
+			reports = append(reports, r)
 		}
 	}
-	n.mu.Unlock()
-	reports := make([]obs.AuditReport, 0, len(audits))
-	for _, a := range audits {
-		reports = append(reports, a.Report())
-	}
-	sort.Slice(reports, func(i, j int) bool { return reports[i].Shard < reports[j].Shard })
 	return reports
-}
-
-// Reputation returns the live reputation store for a shard this node leads,
-// nil otherwise (or when the loop is disabled).
-func (n *Node) Reputation(shard string) *reputation.Store {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if s := n.shards[shard]; s != nil && s.role == RoleLeader {
-		return s.rep
-	}
-	return nil
 }
 
 // ReputationReports collects the led shards' /debug/reputation payloads,
-// sorted by shard. Empty (not nil) when the loop is off.
+// sorted and stamped by shard. Empty (not nil) when the loop is off.
 func (n *Node) ReputationReports() []obs.ReputationReport {
-	n.mu.Lock()
-	var reps []*reputation.Store
-	for _, s := range n.shards {
-		if s.role == RoleLeader && s.rep != nil {
-			reps = append(reps, s.rep)
+	reports := []obs.ReputationReport{}
+	for _, s := range n.led() {
+		if s.rep != nil {
+			r := s.rep.Report()
+			r.Shard = s.id
+			reports = append(reports, r)
 		}
 	}
-	n.mu.Unlock()
-	reports := make([]obs.ReputationReport, 0, len(reps))
-	for _, r := range reps {
-		reports = append(reports, r.Report())
-	}
-	sort.Slice(reports, func(i, j int) bool { return reports[i].Shard < reports[j].Shard })
 	return reports
 }
 
-// ReputationFamilies renders every led shard's reputation store as
-// shard-labelled metric families.
-func (n *Node) ReputationFamilies() []obs.Family {
+// setShard installs a shard's state (its role, and its parts when leading).
+func (n *Node) setShard(shard string, s *shardState) {
 	n.mu.Lock()
-	var reps []*reputation.Store
-	for _, s := range n.shards {
-		if s.role == RoleLeader && s.rep != nil {
-			reps = append(reps, s.rep)
-		}
-	}
+	n.shards[shard] = s
 	n.mu.Unlock()
-	var fams []obs.Family
-	for _, r := range reps {
-		fams = append(fams, r.Families()...)
-	}
-	return fams
-}
-
-// setRole flips one shard's role (and engine/wal/auditor/reputation when
-// becoming leader).
-func (n *Node) setRole(shard, role string, eng *engine.Engine, wal *store.WAL,
-	aud *audit.Auditor, rep *reputation.Store) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	s := n.shards[shard]
-	if s == nil {
-		s = &shardState{}
-		n.shards[shard] = s
-	}
-	s.role = role
-	if eng != nil {
-		s.eng = eng
-	}
-	if wal != nil {
-		s.wal = wal
-	}
-	if aud != nil {
-		s.aud = aud
-	}
-	if rep != nil {
-		s.rep = rep
-	}
 }
 
 // promote turns the follower of shard f into its leader: replay the replica,
@@ -464,21 +407,21 @@ func (n *Node) setRole(shard, role string, eng *engine.Engine, wal *store.WAL,
 func (n *Node) promote(f FollowConfig, replicaSeq uint64) error {
 	started := time.Now()
 	n.stats.failovers.Add(1)
-	n.setRole(f.Shard, RoleRecovering, nil, nil, nil, nil)
+	n.setShard(f.Shard, &shardState{role: RoleRecovering})
 	sp := n.spans.Start(span.NameFailover,
 		span.Str("shard", f.Shard),
 		span.Str("node", n.cfg.Name),
 		span.Int("replica_seq", int64(replicaSeq)),
 	)
-	eng, wal, aud, rep, err := n.startLeader(f.Shard, f.StateDir, f.AgentAddr, nil)
+	led, err := n.startLeader(f.Shard, f.StateDir, f.AgentAddr, nil)
 	if err != nil {
 		sp.EndWith(span.Str("error", err.Error()))
-		n.setRole(f.Shard, RoleFollower, nil, nil, nil, nil)
+		n.setShard(f.Shard, &shardState{role: RoleFollower})
 		return err
 	}
-	n.setRole(f.Shard, RoleLeader, eng, wal, aud, rep)
+	n.setShard(f.Shard, led)
 	if f.RepAddr != "" {
-		rep, err := newRepServer(n, f.Shard, f.RepAddr, wal)
+		rep, err := newRepServer(n, f.Shard, f.RepAddr, led.wal)
 		if err != nil {
 			n.logf("node %s: promoted shard %s but replication listener failed: %v", n.cfg.Name, f.Shard, err)
 		} else {
@@ -522,13 +465,9 @@ func (n *Node) shutdown(flush bool) error {
 	n.closed = true
 	rep := n.rep
 	var wals []*store.WAL
-	var engines []*engine.Engine
 	for _, s := range n.shards {
 		if s.wal != nil {
 			wals = append(wals, s.wal)
-		}
-		if s.eng != nil {
-			engines = append(engines, s.eng)
 		}
 	}
 	n.mu.Unlock()
@@ -547,7 +486,7 @@ func (n *Node) shutdown(flush bool) error {
 			errs = append(errs, err)
 		}
 	}
-	_ = engines // engines stop via ctx cancellation
+	// Engines stop via ctx cancellation.
 	n.wg.Wait()
 	return errors.Join(errs...)
 }

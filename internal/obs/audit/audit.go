@@ -36,10 +36,6 @@ const DefaultMaxViolations = 64
 
 // Config wires an Auditor.
 type Config struct {
-	// Shard labels every metric sample and the /debug/audit report; cluster
-	// nodes set it so per-shard auditors stay distinguishable after a
-	// promotion makes one node lead two shards.
-	Shard string
 	// Spans receives audit.violation and slo.breach event spans. Nil (or a
 	// nil tracer) disables span emission.
 	Spans *span.Tracer
@@ -196,7 +192,6 @@ func (a *Auditor) Status() *obs.AuditStatus {
 func (a *Auditor) Report() obs.AuditReport {
 	rep := obs.AuditReport{
 		AuditStatus:      *a.Status(),
-		Shard:            a.cfg.Shard,
 		RecentViolations: []obs.AuditViolation{},
 		SLOs:             []obs.SLOStatus{},
 	}
@@ -230,7 +225,7 @@ func (a *Auditor) Families() []obs.Family {
 	}
 	for _, k := range keys {
 		violations.Samples = append(violations.Samples, obs.Sample{
-			Labels: a.labels(obs.Label{Name: "campaign", Value: k.campaign}, obs.Label{Name: "rule", Value: k.rule}),
+			Labels: []obs.Label{{Name: "campaign", Value: k.campaign}, {Name: "rule", Value: k.rule}},
 			Value:  float64(a.byRule[k]),
 		})
 	}
@@ -241,7 +236,7 @@ func (a *Auditor) Families() []obs.Family {
 	}
 	for _, id := range sortedKeys(a.degraded) {
 		degraded.Samples = append(degraded.Samples, obs.Sample{
-			Labels: a.labels(obs.Label{Name: "campaign", Value: id}),
+			Labels: []obs.Label{{Name: "campaign", Value: id}},
 			Value:  1,
 		})
 	}
@@ -251,7 +246,7 @@ func (a *Auditor) Families() []obs.Family {
 			Help: "Settled rounds the live auditor has checked.",
 			Type: obs.TypeCounter,
 			Samples: []obs.Sample{
-				{Labels: a.labels(), Value: float64(a.roundsChecked)},
+				{Value: float64(a.roundsChecked)},
 			},
 		},
 		violations,
@@ -259,20 +254,9 @@ func (a *Auditor) Families() []obs.Family {
 	}
 	a.mu.Unlock()
 	if a.slo != nil {
-		fams = append(fams, a.slo.families(a.labels)...)
+		fams = append(fams, a.slo.families()...)
 	}
 	return fams
-}
-
-// labels prepends the shard label (when configured) to the given labels.
-func (a *Auditor) labels(rest ...obs.Label) []obs.Label {
-	if a.cfg.Shard == "" {
-		if len(rest) == 0 {
-			return nil
-		}
-		return rest
-	}
-	return append([]obs.Label{{Name: "shard", Value: a.cfg.Shard}}, rest...)
 }
 
 func sortedKeys(m map[string]uint64) []string {

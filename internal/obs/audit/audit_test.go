@@ -104,7 +104,7 @@ func TestObserveCleanRound(t *testing.T) {
 }
 
 func TestObserveUnderpaidSettlement(t *testing.T) {
-	a := New(Config{Shard: "s1"})
+	a := New(Config{})
 	feed(a, registerEvent("c1"))
 	evs := cleanRoundEvents("c1", 1)
 	// Corrupt the settlement: pay the successful winner 0.5 against a
@@ -128,9 +128,6 @@ func TestObserveUnderpaidSettlement(t *testing.T) {
 	}
 
 	rep := a.Report()
-	if rep.Shard != "s1" {
-		t.Errorf("Report.Shard = %q, want s1", rep.Shard)
-	}
 	if len(rep.RecentViolations) != 2 {
 		t.Fatalf("RecentViolations = %d, want 2", len(rep.RecentViolations))
 	}
@@ -151,10 +148,10 @@ func TestObserveUnderpaidSettlement(t *testing.T) {
 	}
 	text := buf.String()
 	for _, want := range []string{
-		`crowdsense_audit_rounds_checked_total{shard="s1"} 1`,
-		`crowdsense_audit_violations_total{shard="s1",campaign="c1",rule="individual_rationality"} 1`,
-		`crowdsense_audit_violations_total{shard="s1",campaign="c1",rule="settlement_contract"} 1`,
-		`crowdsense_audit_degraded{shard="s1",campaign="c1"} 1`,
+		`crowdsense_audit_rounds_checked_total 1`,
+		`crowdsense_audit_violations_total{campaign="c1",rule="individual_rationality"} 1`,
+		`crowdsense_audit_violations_total{campaign="c1",rule="settlement_contract"} 1`,
+		`crowdsense_audit_degraded{campaign="c1"} 1`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q in:\n%s", want, text)

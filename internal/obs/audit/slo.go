@@ -214,8 +214,7 @@ func (e *sloEngine) statuses() []obs.SLOStatus {
 }
 
 // families renders the SLO state as crowdsense_slo_* metric families.
-// labels supplies the auditor's shard-aware label prefix.
-func (e *sloEngine) families(labels func(...obs.Label) []obs.Label) []obs.Family {
+func (e *sloEngine) families() []obs.Family {
 	sts := e.statuses()
 	nameLabel := func(n string) obs.Label { return obs.Label{Name: "slo", Value: n} }
 	target := obs.Family{Name: "crowdsense_slo_target_seconds", Help: "Configured latency target per SLO.", Type: obs.TypeGauge}
@@ -225,18 +224,18 @@ func (e *sloEngine) families(labels func(...obs.Label) []obs.Label) []obs.Family
 	active := obs.Family{Name: "crowdsense_slo_breach_active", Help: "1 while both burn windows exceed their thresholds.", Type: obs.TypeGauge}
 	breaches := obs.Family{Name: "crowdsense_slo_breaches_total", Help: "Breach rising edges since start.", Type: obs.TypeCounter}
 	for _, st := range sts {
-		target.Samples = append(target.Samples, obs.Sample{Labels: labels(nameLabel(st.Name)), Value: st.TargetSeconds})
-		events.Samples = append(events.Samples, obs.Sample{Labels: labels(nameLabel(st.Name)), Value: float64(st.Events)})
-		slowEv.Samples = append(slowEv.Samples, obs.Sample{Labels: labels(nameLabel(st.Name)), Value: float64(st.SlowEvents)})
+		target.Samples = append(target.Samples, obs.Sample{Labels: []obs.Label{nameLabel(st.Name)}, Value: st.TargetSeconds})
+		events.Samples = append(events.Samples, obs.Sample{Labels: []obs.Label{nameLabel(st.Name)}, Value: float64(st.Events)})
+		slowEv.Samples = append(slowEv.Samples, obs.Sample{Labels: []obs.Label{nameLabel(st.Name)}, Value: float64(st.SlowEvents)})
 		burn.Samples = append(burn.Samples,
-			obs.Sample{Labels: labels(nameLabel(st.Name), obs.Label{Name: "window", Value: "fast"}), Value: st.FastBurn},
-			obs.Sample{Labels: labels(nameLabel(st.Name), obs.Label{Name: "window", Value: "slow"}), Value: st.SlowBurn})
+			obs.Sample{Labels: []obs.Label{nameLabel(st.Name), {Name: "window", Value: "fast"}}, Value: st.FastBurn},
+			obs.Sample{Labels: []obs.Label{nameLabel(st.Name), {Name: "window", Value: "slow"}}, Value: st.SlowBurn})
 		breachVal := 0.0
 		if st.Breaching {
 			breachVal = 1
 		}
-		active.Samples = append(active.Samples, obs.Sample{Labels: labels(nameLabel(st.Name)), Value: breachVal})
-		breaches.Samples = append(breaches.Samples, obs.Sample{Labels: labels(nameLabel(st.Name)), Value: float64(st.Breaches)})
+		active.Samples = append(active.Samples, obs.Sample{Labels: []obs.Label{nameLabel(st.Name)}, Value: breachVal})
+		breaches.Samples = append(breaches.Samples, obs.Sample{Labels: []obs.Label{nameLabel(st.Name)}, Value: float64(st.Breaches)})
 	}
 	return []obs.Family{target, events, slowEv, burn, active, breaches}
 }

@@ -54,13 +54,32 @@ type Family struct {
 }
 
 // RenderMetrics writes the families in Prometheus text exposition format
-// (version 0.0.4): a # HELP and # TYPE header per family followed by one
-// line per sample. Families and samples render in the order given.
+// (version 0.0.4). Families sharing a name are merged, since the format
+// allows one header per name: the name renders once, at its first
+// occurrence, with that occurrence's # HELP and # TYPE, followed by the
+// samples of every family of that name in input order. Names with no
+// samples are skipped.
 func RenderMetrics(w io.Writer, families []Family) error {
-	for _, f := range families {
-		if len(f.Samples) == 0 {
+	index := make(map[string]int, len(families)) // name → position in groups
+	var groups [][]int                           // family indices per name
+	for i, f := range families {
+		g, ok := index[f.Name]
+		if !ok {
+			g = len(groups)
+			index[f.Name] = g
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], i)
+	}
+	for _, g := range groups {
+		samples := 0
+		for _, i := range g {
+			samples += len(families[i].Samples)
+		}
+		if samples == 0 {
 			continue
 		}
+		f := families[g[0]]
 		if f.Help != "" {
 			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", f.Name, escapeHelp(f.Help)); err != nil {
 				return err
@@ -69,13 +88,33 @@ func RenderMetrics(w io.Writer, families []Family) error {
 		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", f.Name, f.Type); err != nil {
 			return err
 		}
-		for _, s := range f.Samples {
-			if _, err := io.WriteString(w, f.Name+s.Suffix+renderLabels(s.Labels)+" "+formatValue(s.Value)+"\n"); err != nil {
-				return err
+		for _, i := range g {
+			for _, s := range families[i].Samples {
+				if _, err := io.WriteString(w, f.Name+s.Suffix+renderLabels(s.Labels)+" "+formatValue(s.Value)+"\n"); err != nil {
+					return err
+				}
 			}
 		}
 	}
 	return nil
+}
+
+// WithLabel returns copies of the families with l prepended to every
+// sample's labels — how a producer's families are scoped to one instance
+// (a cluster node's per-shard engines, WALs, auditors and stores) without
+// the producer knowing it has siblings. The input is left unmodified.
+func WithLabel(families []Family, l Label) []Family {
+	out := make([]Family, len(families))
+	for i, f := range families {
+		samples := make([]Sample, len(f.Samples))
+		for j, s := range f.Samples {
+			s.Labels = append([]Label{l}, s.Labels...)
+			samples[j] = s
+		}
+		f.Samples = samples
+		out[i] = f
+	}
+	return out
 }
 
 func renderLabels(labels []Label) string {

@@ -68,6 +68,59 @@ func TestRenderMetricsSkipsEmptyFamilies(t *testing.T) {
 	}
 }
 
+// TestRenderMetricsMergesSameName pins the one merge point: families that
+// share a name render one # HELP/# TYPE pair — the first occurrence's — and
+// every sample in input order, so per-instance producers can be concatenated
+// without producing duplicate headers.
+func TestRenderMetricsMergesSameName(t *testing.T) {
+	families := []Family{
+		{Name: "m", Help: "first", Type: TypeGauge,
+			Samples: []Sample{{Labels: []Label{{Name: "shard", Value: "s1"}}, Value: 1}}},
+		{Name: "other", Type: TypeCounter, Samples: []Sample{{Value: 5}}},
+		{Name: "m", Help: "second", Type: TypeCounter,
+			Samples: []Sample{{Labels: []Label{{Name: "shard", Value: "s2"}}, Value: 2}}},
+	}
+	var b strings.Builder
+	if err := RenderMetrics(&b, families); err != nil {
+		t.Fatal(err)
+	}
+	want := `# HELP m first
+# TYPE m gauge
+m{shard="s1"} 1
+m{shard="s2"} 2
+# TYPE other counter
+other 5
+`
+	if got := b.String(); got != want {
+		t.Errorf("merged exposition mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+}
+
+func TestWithLabelPrepends(t *testing.T) {
+	shared := []Label{{Name: "rpc", Value: "bid"}}
+	in := []Family{{Name: "m", Type: TypeSummary, Samples: []Sample{
+		{Suffix: "_sum", Labels: shared, Value: 1},
+		{Suffix: "_count", Labels: shared, Value: 2},
+		{Value: 3},
+	}}}
+	out := WithLabel(in, Label{Name: "shard", Value: "s1"})
+	var b strings.Builder
+	if err := RenderMetrics(&b, out); err != nil {
+		t.Fatal(err)
+	}
+	want := `# TYPE m summary
+m_sum{shard="s1",rpc="bid"} 1
+m_count{shard="s1",rpc="bid"} 2
+m{shard="s1"} 3
+`
+	if got := b.String(); got != want {
+		t.Errorf("labelled exposition mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+	if len(in[0].Samples[0].Labels) != 1 || len(in[0].Samples[2].Labels) != 0 {
+		t.Errorf("WithLabel modified its input: %+v", in[0].Samples)
+	}
+}
+
 func TestRenderMetricsEscaping(t *testing.T) {
 	families := []Family{{
 		Name: "m",

@@ -13,7 +13,8 @@ import (
 // round, one per solver probe — and profiling shows encoding/json's
 // reflective marshaller dominating the writer's CPU and allocating enough
 // to drag the auction goroutines into GC assists, so the journal encodes by
-// hand. The output matches Record's struct tags (omitempty included) and is
+// hand. It is also Record.MarshalJSON, so /debug/spans serves the same
+// bytes. The output matches Record's struct tags (omitempty included) and is
 // decoded by the ordinary encoding/json path in ReadJournal.
 func appendRecord(b []byte, r *Record) []byte {
 	b = append(b, `{"id":`...)
@@ -55,9 +56,10 @@ func appendRecord(b []byte, r *Record) []byte {
 	return append(b, '}')
 }
 
-// appendAttrs mirrors Attrs.MarshalJSON: keys in first-occurrence order,
-// last write wins on duplicates. Attribute lists are tiny (≤ 8 entries), so
-// the duplicate scan is quadratic without mattering.
+// appendAttrs renders attributes as one JSON object (it is also
+// Attrs.MarshalJSON): keys in first-occurrence order, last write wins on
+// duplicates. Attribute lists are tiny (≤ 8 entries), so the duplicate scan
+// is quadratic without mattering.
 func appendAttrs(b []byte, as Attrs) []byte {
 	b = append(b, '{')
 	n := 0
@@ -108,11 +110,13 @@ func appendFloat(b []byte, f float64) []byte {
 }
 
 // appendString quotes s, falling back to encoding/json for the rare string
-// needing escapes (control characters, quotes, non-ASCII). Span names,
-// campaign IDs, and attr keys all take the fast path.
+// needing escapes (control characters, quotes, non-ASCII, and the HTML
+// characters encoding/json escapes — so a record marshalled through
+// encoding/json, which re-escapes them, keeps the journal's bytes). Span
+// names, campaign IDs, and attr keys all take the fast path.
 func appendString(b []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c == '"' || c == '\\' || c >= utf8.RuneSelf {
+		if c := s[i]; c < 0x20 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' || c >= utf8.RuneSelf {
 			enc, err := json.Marshal(s)
 			if err != nil {
 				enc = []byte(`""`)

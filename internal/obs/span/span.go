@@ -136,8 +136,9 @@ func (a Attr) Value() any {
 }
 
 // Attrs is an ordered attribute list. It marshals as a JSON object in
-// insertion order; unmarshalling restores entries in sorted-key order
-// (JSON objects carry no order).
+// first-occurrence key order, last write winning on a duplicate key, with
+// non-finite floats as null; unmarshalling restores entries in sorted-key
+// order (JSON objects carry no order) and drops the nulls.
 type Attrs []Attr
 
 // Get returns the value of the named attribute, or nil.
@@ -162,37 +163,9 @@ func (as Attrs) Int(key string) (int64, bool) {
 	return 0, false
 }
 
-// MarshalJSON renders the attributes as one JSON object.
-func (as Attrs) MarshalJSON() ([]byte, error) {
-	m := make(map[string]any, len(as))
-	keys := make([]string, 0, len(as))
-	for _, a := range as {
-		if _, dup := m[a.Key]; !dup {
-			keys = append(keys, a.Key)
-		}
-		m[a.Key] = a.Value() // last write wins, like a map literal
-	}
-	// Deterministic output: encoding/json sorts map keys, but building the
-	// object by hand keeps insertion order, which reads better in journals.
-	buf := []byte{'{'}
-	for i, k := range keys {
-		if i > 0 {
-			buf = append(buf, ',')
-		}
-		kb, err := json.Marshal(k)
-		if err != nil {
-			return nil, err
-		}
-		vb, err := json.Marshal(m[k])
-		if err != nil {
-			return nil, err
-		}
-		buf = append(buf, kb...)
-		buf = append(buf, ':')
-		buf = append(buf, vb...)
-	}
-	return append(buf, '}'), nil
-}
+// MarshalJSON renders the attributes as one JSON object with the journal's
+// encoder (appendAttrs).
+func (as Attrs) MarshalJSON() ([]byte, error) { return appendAttrs(nil, as), nil }
 
 // UnmarshalJSON decodes a JSON object into typed attributes. Numbers with no
 // fractional part become Int attrs, other numbers Float, strings Str; other
@@ -262,6 +235,10 @@ type Record struct {
 	DurNanos   int64     `json:"dur_ns"`
 	Attrs      Attrs     `json:"attrs,omitempty"`
 }
+
+// MarshalJSON renders the record with the journal's encoder (appendRecord),
+// so /debug/spans and a journal line carry the same bytes for one record.
+func (r Record) MarshalJSON() ([]byte, error) { return appendRecord(nil, &r), nil }
 
 // Duration returns the span's length.
 func (r Record) Duration() time.Duration { return time.Duration(r.DurNanos) }

@@ -26,9 +26,6 @@ type StoreConfig struct {
 	// reliability 1. Zero means DefaultPriorStrength; negative or NaN is
 	// rejected with ErrBadPrior.
 	PriorStrength float64
-	// Shard labels every metric sample and the /debug/reputation report, so
-	// per-shard stores on a cluster node stay distinguishable.
-	Shard string
 	// ReportUsers bounds Report's per-user detail (0 means
 	// DefaultReportUsers; negative means unbounded).
 	ReportUsers int
@@ -48,7 +45,6 @@ type StoreConfig struct {
 // Checkpoint is byte-deterministic, which is what lets recovery and failover
 // resume with identical r̂.
 type Store struct {
-	shard       string
 	reportUsers int
 
 	mu     sync.RWMutex
@@ -71,7 +67,6 @@ func NewStore(cfg StoreConfig) (*Store, error) {
 		reportUsers = DefaultReportUsers
 	}
 	return &Store{
-		shard:       cfg.Shard,
 		reportUsers: reportUsers,
 		prior:       prior,
 		users:       make(map[auction.UserID]*evidence),
@@ -201,7 +196,6 @@ func (s *Store) Restore(cp *store.ReputationCheckpoint) error {
 func (s *Store) Report() obs.ReputationReport {
 	s.mu.RLock()
 	rep := obs.ReputationReport{
-		Shard:           s.shard,
 		Prior:           s.prior,
 		TrackedUsers:    len(s.users),
 		Observations:    s.observations,
@@ -263,60 +257,40 @@ func (s *Store) Families() []obs.Family {
 	}
 	return []obs.Family{
 		{
-			Name: "crowdsense_reputation_tracked_users",
-			Help: "Users with committed execution evidence in the reputation store.",
-			Type: obs.TypeGauge,
-			Samples: []obs.Sample{
-				{Labels: s.labels(), Value: float64(tracked)},
-			},
+			Name:    "crowdsense_reputation_tracked_users",
+			Help:    "Users with committed execution evidence in the reputation store.",
+			Type:    obs.TypeGauge,
+			Samples: []obs.Sample{{Value: float64(tracked)}},
 		},
 		{
-			Name: "crowdsense_reputation_observations_total",
-			Help: "EC-trigger execution outcomes committed into the reputation store.",
-			Type: obs.TypeCounter,
-			Samples: []obs.Sample{
-				{Labels: s.labels(), Value: float64(observations)},
-			},
+			Name:    "crowdsense_reputation_observations_total",
+			Help:    "EC-trigger execution outcomes committed into the reputation store.",
+			Type:    obs.TypeCounter,
+			Samples: []obs.Sample{{Value: float64(observations)}},
 		},
 		{
-			Name: "crowdsense_reputation_rounds_committed_total",
-			Help: "Settled rounds whose evidence the reputation store has committed.",
-			Type: obs.TypeCounter,
-			Samples: []obs.Sample{
-				{Labels: s.labels(), Value: float64(committed)},
-			},
+			Name:    "crowdsense_reputation_rounds_committed_total",
+			Help:    "Settled rounds whose evidence the reputation store has committed.",
+			Type:    obs.TypeCounter,
+			Samples: []obs.Sample{{Value: float64(committed)}},
 		},
 		{
-			Name: "crowdsense_reputation_suspect_users",
-			Help: "Tracked users whose reliability estimate is below the suspect threshold (0.9).",
-			Type: obs.TypeGauge,
-			Samples: []obs.Sample{
-				{Labels: s.labels(), Value: float64(suspects)},
-			},
+			Name:    "crowdsense_reputation_suspect_users",
+			Help:    "Tracked users whose reliability estimate is below the suspect threshold (0.9).",
+			Type:    obs.TypeGauge,
+			Samples: []obs.Sample{{Value: float64(suspects)}},
 		},
 		{
-			Name: "crowdsense_reputation_reliability_min",
-			Help: "Lowest reliability estimate across tracked users (1 when none).",
-			Type: obs.TypeGauge,
-			Samples: []obs.Sample{
-				{Labels: s.labels(), Value: min},
-			},
+			Name:    "crowdsense_reputation_reliability_min",
+			Help:    "Lowest reliability estimate across tracked users (1 when none).",
+			Type:    obs.TypeGauge,
+			Samples: []obs.Sample{{Value: min}},
 		},
 		{
-			Name: "crowdsense_reputation_reliability_mean",
-			Help: "Mean reliability estimate across tracked users (1 when none).",
-			Type: obs.TypeGauge,
-			Samples: []obs.Sample{
-				{Labels: s.labels(), Value: mean},
-			},
+			Name:    "crowdsense_reputation_reliability_mean",
+			Help:    "Mean reliability estimate across tracked users (1 when none).",
+			Type:    obs.TypeGauge,
+			Samples: []obs.Sample{{Value: mean}},
 		},
 	}
-}
-
-// labels prepends the shard label when configured.
-func (s *Store) labels() []obs.Label {
-	if s.shard == "" {
-		return nil
-	}
-	return []obs.Label{{Name: "shard", Value: s.shard}}
 }

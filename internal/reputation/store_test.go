@@ -201,14 +201,14 @@ func TestStoreCheckpointRestoreRoundtrip(t *testing.T) {
 }
 
 func TestStoreReportAndFamilies(t *testing.T) {
-	s := mustStore(t, StoreConfig{Shard: "s1", ReportUsers: 1})
+	s := mustStore(t, StoreConfig{ReportUsers: 1})
 	feed(s, roundEvents("c", 1,
 		map[auction.UserID]float64{1: 0.9, 2: 0.5},
 		map[auction.UserID]bool{1: false, 2: true}))
 
 	rep := s.Report()
-	if rep.Shard != "s1" || rep.TrackedUsers != 2 || rep.Observations != 2 || rep.RoundsCommitted != 1 {
-		t.Errorf("report headline = %+v, want shard s1, 2 users, 2 observations, 1 round", rep)
+	if rep.TrackedUsers != 2 || rep.Observations != 2 || rep.RoundsCommitted != 1 {
+		t.Errorf("report headline = %+v, want 2 users, 2 observations, 1 round", rep)
 	}
 	if len(rep.Users) != 1 || rep.Users[0].User != 1 {
 		t.Errorf("report users = %+v, want just the worst offender (user 1)", rep.Users)
@@ -222,11 +222,6 @@ func TestStoreReportAndFamilies(t *testing.T) {
 	for _, f := range fams {
 		if len(f.Samples) != 1 {
 			t.Fatalf("family %s has %d samples, want 1", f.Name, len(f.Samples))
-		}
-		for _, l := range f.Samples[0].Labels {
-			if l.Name == "shard" && l.Value != "s1" {
-				t.Errorf("family %s shard label = %q", f.Name, l.Value)
-			}
 		}
 		byName[f.Name] = f.Samples[0].Value
 	}

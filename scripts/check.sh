@@ -8,8 +8,9 @@
 # to end), a check that no production binary links a *Reference solver
 # (`make prod-symbols`), a check that only internal/store switches on event
 # types (`make event-fold`), a check that the knapsack and set-cover solvers
-# start no goroutines (`make wd-fanout`), and the differential and smoke
-# gates. The commands and package
+# start no goroutines (`make wd-fanout`), a cluster node's per-shard
+# metrics surface with its one shard-label site (`make ops-surface`), and
+# the differential and smoke gates. The commands and package
 # lists live only in the Makefile. Run it from the repo root.
 set -eux
 
@@ -40,6 +41,7 @@ make --no-print-directory bench
 make --no-print-directory prod-symbols
 make --no-print-directory event-fold
 make --no-print-directory wd-fanout
+make --no-print-directory ops-surface
 make --no-print-directory obsctl-roundtrip
 make --no-print-directory recovery-smoke
 make --no-print-directory audit-smoke
