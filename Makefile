@@ -158,12 +158,16 @@ wd-fanout:
 # Ops-surface gate under the race detector: a node that leads two shards
 # after a promotion must export every led shard's engine, WAL, audit and
 # reputation families, each sample shard-labelled, under one # TYPE line
-# per family name. The shard label is applied in one place, the cluster
-# node: fails if a non-test Go file outside internal/cluster contains
+# per family name, merge both shards' spans in end order, and keep
+# liveness free of the audit status; a platformd cluster node must serve
+# the standalone endpoint set (/debug/rounds, /debug/spans, liveness
+# /healthz). The shard label is applied in one place, the cluster node:
+# fails if a non-test Go file outside internal/cluster contains
 # `Name: "shard"`.
 .PHONY: ops-surface
 ops-surface:
 	$(GO) test -race -run TestNodeMetricsAfterPromotion ./internal/cluster
+	$(GO) test -race -run TestClusterNodeOpsSurface ./cmd/platformd
 	@if grep -rn --include='*.go' --exclude='*_test.go' 'Name: "shard"' . | grep -v '^\./internal/cluster/'; then \
 		echo "ops-surface: label per-shard families in internal/cluster (obs.WithLabel) instead" >&2; exit 1; \
 	fi

@@ -4,7 +4,9 @@
 // every run is one engine serving its campaigns on one port: a single
 // campaign named "default" unless -campaigns asks for c1..cN. Agents that
 // name no campaign land in the first one. The engine's metrics snapshot is
-// printed at exit.
+// printed at exit. Both a standalone run and a cluster node log every
+// settled round and stop when a round fails for a reason other than
+// infeasibility: winner determination itself broke.
 //
 // Example (single task, three bidders, one round):
 //
@@ -19,8 +21,10 @@
 //	platformd -campaigns 8 -tasks 2 -bidders 5 -rounds 2 -window 30s
 //
 // Example (live telemetry: four campaigns plus an HTTP ops endpoint serving
-// /metrics in Prometheus text format, /healthz, /readyz, /debug/rounds,
-// /debug/spans, and pprof):
+// /metrics in Prometheus text format, /healthz (liveness), /readyz,
+// /debug/rounds, /debug/spans, /debug/audit, /debug/reputation, and pprof —
+// the same set on a cluster node, where it covers every shard the node
+// leads):
 //
 //	platformd -campaigns 4 -bidders 5 -rounds 2 -metrics-addr :9090
 //	curl localhost:9090/metrics
@@ -61,7 +65,6 @@ import (
 	"log/slog"
 	"os"
 	"os/signal"
-	"strings"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -80,115 +83,145 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, os.Args[1:])
+	stop()
+	if err != nil {
 		slog.Error("platformd failed", "err", err)
 		os.Exit(1)
 	}
 }
 
-// run parses the command line and serves until every campaign finishes, a
-// round fails for a reason other than infeasibility, or a signal arrives.
-func run(args []string) error {
-	fs := flag.NewFlagSet("platformd", flag.ExitOnError)
-	var (
-		addr        = fs.String("addr", "127.0.0.1:7373", "listen address")
-		tasks       = fs.Int("tasks", 1, "number of tasks to publish (IDs 1..n)")
-		requirement = fs.Float64("requirement", 0.8, "PoS requirement per task")
-		bidders     = fs.Int("bidders", 3, "bids to collect before running the auction")
-		alpha       = fs.Float64("alpha", mechanism.DefaultAlpha, "reward scaling factor")
-		epsilon     = fs.Float64("epsilon", 0.5, "FPTAS parameter (single task)")
-		window      = fs.Duration("window", 0, "bid window after the first bid (0 = wait for all)")
-		rounds      = fs.Int("rounds", 1, "auction rounds to serve before exiting")
-		campaigns   = fs.Int("campaigns", 0, "serve this many concurrent campaigns (c1..cN) on one port (0 = one campaign named default)")
-		workers     = fs.Int("workers", 0, "winner-determination worker pool size (0 = auto)")
-		journal     = fs.String("journal", "", "append one JSON line per round to this file (not with -cluster: a shard's rounds are in its -state-dir WAL)")
-		spanJournal = fs.String("span-journal", "", "record lifecycle spans (campaign/round/phase/solver) to this JSONL file, rotated by size")
-		nodeFlag    = fs.String("node", "", "node identity stamped into span records and cross-process trace context, so obsctl stitch can merge this journal with other nodes' (default: shard@addr in cluster node mode, \"router\" for the router, else \"platform\")")
-		stateDir    = fs.String("state-dir", "", "durable state directory: campaign events are written to a WAL there, and on restart the log is replayed to resume campaigns at the last durable round boundary (empty = in-memory only)")
-		metricsAddr = fs.String("metrics-addr", "", "serve /metrics, /healthz, /readyz, /debug/rounds, /debug/spans, /debug/audit, and pprof on this address (empty = off)")
-		auditFlag   = fs.Bool("audit", false, "run the live mechanism auditor: every settled round is checked against the paper's economic invariants (IR, budget, α reward gap, settlement arithmetic); violations degrade /readyz and surface on /debug/audit")
-		sloP99      = fs.String("slo-p99", "", "comma-separated span=duration p99 latency targets for the live auditor, e.g. round=250ms,phase.computing=50ms (a bare duration targets the round span); implies -audit")
-		repFlag     = fs.Bool("reputation", false, "close the learning loop: learn per-user reliability from execution outcomes, run the mechanism on discounted PoS (costs stay declared, but critical PoS and the EC reward pair are priced on the discounted PoS; see ROADMAP, within-round strategy-proofness), checkpoint the learned state into the WAL, and surface it on /metrics and /debug/reputation")
-		repPrior    = fs.Float64("reputation-prior", 0, "reputation prior pseudo-strength pulling unknown users toward reliability 1 (0 = default)")
-		logLevel    = fs.String("log-level", "info", "log level: debug, info, warn, error")
-		version     = fs.Bool("version", false, "print version and exit")
+// options is platformd's parsed command line, read by both serving modes.
+// parseOptions defaults node by mode, sets audit when -slo-p99 names
+// targets (parsed into slo, nil without any), and parses logLevel.
+type options struct {
+	addr, journal, spanJournal, stateDir, metricsAddr, node string
+	tasks, bidders, rounds, workers, campaigns              int
+	requirement, alpha, epsilon, repPrior                   float64
+	window                                                  time.Duration
+	audit, reputation, version                              bool
+	slo                                                     *audit.SLOConfig
+	logLevel                                                slog.Level
 
-		// Cluster mode: shard the campaign universe across several platformd
-		// processes behind one router. See runCluster.
-		clusterArg = fs.String("cluster", "", "comma-separated shard names forming the cluster ring (enables cluster mode; identical on every member)")
-		shard      = fs.String("shard", "", "shard this node leads (cluster mode; empty with -peers runs the shard router)")
-		peers      = fs.String("peers", "", "router member map shard=addr[|standby],... — leader address first, standbys answer only after promotion")
-		repAddr    = fs.String("rep-addr", "", "replication listen address for this shard's followers (cluster node mode; empty = no followers)")
-		follow     = fs.String("follow", "", "stand by for another shard: shard@leaderRepAddr (cluster node mode)")
-		followDir  = fs.String("follow-dir", "", "replica WAL directory for -follow")
-		followAddr = fs.String("follow-addr", "", "standby agent address for -follow, bound only at promotion")
-	)
+	// Cluster mode: shard the campaign universe across several platformd
+	// processes behind one router. See runCluster.
+	cluster, shard, peers, repAddr, follow, followDir, followAddr string
+}
+
+// parseOptions parses and checks the command line. Bad input is refused
+// here, before anything listens or any file is created.
+func parseOptions(args []string) (*options, error) {
+	o := &options{}
+	var sloP99, logLevel string
+	fs := flag.NewFlagSet("platformd", flag.ExitOnError)
+	fs.StringVar(&o.addr, "addr", "127.0.0.1:7373", "listen address")
+	fs.IntVar(&o.tasks, "tasks", 1, "number of tasks to publish (IDs 1..n)")
+	fs.Float64Var(&o.requirement, "requirement", 0.8, "PoS requirement per task")
+	fs.IntVar(&o.bidders, "bidders", 3, "bids to collect before running the auction")
+	fs.Float64Var(&o.alpha, "alpha", mechanism.DefaultAlpha, "reward scaling factor")
+	fs.Float64Var(&o.epsilon, "epsilon", 0.5, "FPTAS parameter (single task)")
+	fs.DurationVar(&o.window, "window", 0, "bid window after the first bid (0 = wait for all)")
+	fs.IntVar(&o.rounds, "rounds", 1, "auction rounds to serve before exiting")
+	fs.IntVar(&o.campaigns, "campaigns", 0, "serve this many concurrent campaigns (c1..cN) on one port (0 = one campaign named default)")
+	fs.IntVar(&o.workers, "workers", 0, "winner-determination worker pool size (0 = auto)")
+	fs.StringVar(&o.journal, "journal", "", "append one JSON line per round to this file (not with -cluster: a shard's rounds are in its -state-dir WAL)")
+	fs.StringVar(&o.spanJournal, "span-journal", "", "record lifecycle spans (campaign/round/phase/solver) to this JSONL file, rotated by size")
+	fs.StringVar(&o.node, "node", "", "node identity stamped into span records and cross-process trace context, so obsctl stitch can merge this journal with other nodes' (default: shard@addr in cluster node mode, \"router\" for the router, else \"platform\")")
+	fs.StringVar(&o.stateDir, "state-dir", "", "durable state directory: campaign events are written to a WAL there, and on restart the log is replayed to resume campaigns at the last durable round boundary (empty = in-memory only)")
+	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve "+opsPaths+" on this address, standalone or as a cluster node (not the router; empty = off)")
+	fs.BoolVar(&o.audit, "audit", false, "run the live mechanism auditor: every settled round is checked against the paper's economic invariants (IR, budget, α reward gap, settlement arithmetic); violations degrade /readyz and surface on /debug/audit")
+	fs.StringVar(&sloP99, "slo-p99", "", "comma-separated span=duration p99 latency targets for the live auditor, e.g. round=250ms,phase.computing=50ms (a bare duration targets the round span); implies -audit")
+	fs.BoolVar(&o.reputation, "reputation", false, "close the learning loop: learn per-user reliability from execution outcomes, run the mechanism on discounted PoS (costs stay declared, but critical PoS and the EC reward pair are priced on the discounted PoS; see ROADMAP, within-round strategy-proofness), checkpoint the learned state into the WAL, and surface it on /metrics and /debug/reputation")
+	fs.Float64Var(&o.repPrior, "reputation-prior", 0, "reputation prior pseudo-strength pulling unknown users toward reliability 1 (0 = default)")
+	fs.StringVar(&logLevel, "log-level", "info", "log level: debug, info, warn, error")
+	fs.BoolVar(&o.version, "version", false, "print version and exit")
+	fs.StringVar(&o.cluster, "cluster", "", "comma-separated shard names forming the cluster ring (enables cluster mode; identical on every member)")
+	fs.StringVar(&o.shard, "shard", "", "shard this node leads (cluster mode; empty with -peers runs the shard router)")
+	fs.StringVar(&o.peers, "peers", "", "router member map shard=addr[|standby],... — leader address first, standbys answer only after promotion")
+	fs.StringVar(&o.repAddr, "rep-addr", "", "replication listen address for this shard's followers (cluster node mode; empty = no followers)")
+	fs.StringVar(&o.follow, "follow", "", "stand by for another shard: shard@leaderRepAddr (cluster node mode)")
+	fs.StringVar(&o.followDir, "follow-dir", "", "replica WAL directory for -follow")
+	fs.StringVar(&o.followAddr, "follow-addr", "", "standby agent address for -follow, bound only at promotion")
 	fs.Parse(args)
 
-	if *version {
+	if o.version {
+		return o, nil
+	}
+	if o.rounds < 1 {
+		return nil, fmt.Errorf("-rounds %d must be positive", o.rounds)
+	}
+	if o.journal != "" && o.cluster != "" {
+		// A shard's round journal is derived from its WAL
+		// (platform.JournalFromState); nothing would write this file.
+		return nil, errors.New("-journal is not supported with -cluster: each shard's settled rounds are in its -state-dir WAL")
+	}
+	if o.metricsAddr != "" && o.cluster != "" && o.shard == "" {
+		// The router holds no campaign state; its only telemetry is spans.
+		return nil, errors.New("-metrics-addr is not supported by the shard router: serve it on the cluster nodes")
+	}
+	targets, err := spantool.ParseSLOTargets(sloP99)
+	if err != nil {
+		return nil, fmt.Errorf("-slo-p99: %w", err)
+	}
+	if len(targets) > 0 {
+		o.slo = &audit.SLOConfig{Targets: targets}
+		o.audit = true
+	}
+	if err := o.logLevel.UnmarshalText([]byte(logLevel)); err != nil {
+		return nil, fmt.Errorf("bad -log-level %q: %w", logLevel, err)
+	}
+	if o.node == "" {
+		switch {
+		case o.cluster != "" && o.shard != "":
+			o.node = o.shard + "@" + o.addr
+		case o.cluster != "":
+			o.node = "router"
+		default:
+			o.node = "platform"
+		}
+	}
+	return o, nil
+}
+
+// campaign is the campaign a fresh start registers under id.
+func (o *options) campaign(id string) engine.CampaignConfig {
+	tasks := make([]auction.Task, o.tasks)
+	for i := range tasks {
+		tasks[i] = auction.Task{ID: auction.TaskID(i + 1), Requirement: o.requirement}
+	}
+	return engine.CampaignConfig{
+		ID:              id,
+		Tasks:           tasks,
+		ExpectedBidders: o.bidders,
+		BidWindow:       o.window,
+		Rounds:          o.rounds,
+		Alpha:           o.alpha,
+		Epsilon:         o.epsilon,
+	}
+}
+
+// run parses the command line and serves until every campaign finishes (a
+// cluster node serves until ctx ends), a round fails for a reason other than
+// infeasibility, or ctx ends.
+func run(ctx context.Context, args []string) error {
+	o, err := parseOptions(args)
+	if err != nil {
+		return err
+	}
+	if o.version {
 		fmt.Println("platformd " + buildinfo.String())
 		return nil
 	}
-	if *rounds < 1 {
-		return fmt.Errorf("-rounds %d must be positive", *rounds)
-	}
-	if *journal != "" && *clusterArg != "" {
-		// A shard's round journal is derived from its WAL
-		// (platform.JournalFromState); nothing would write this file.
-		return errors.New("-journal is not supported with -cluster: each shard's settled rounds are in its -state-dir WAL")
-	}
+	slog.SetDefault(slog.New(slog.NewTextHandler(os.Stdout, &slog.HandlerOptions{Level: o.logLevel})))
 
-	sloTargets, err := spantool.ParseSLOTargets(*sloP99)
-	if err != nil {
-		return fmt.Errorf("-slo-p99: %w", err)
-	}
-	var sloCfg *audit.SLOConfig
-	if len(sloTargets) > 0 {
-		sloCfg = &audit.SLOConfig{Targets: sloTargets}
-	}
-	auditOn := *auditFlag || sloCfg != nil
-
-	var level slog.Level
-	if err := level.UnmarshalText([]byte(*logLevel)); err != nil {
-		return fmt.Errorf("bad -log-level %q: %w", *logLevel, err)
-	}
-	slog.SetDefault(slog.New(slog.NewTextHandler(os.Stdout, &slog.HandlerOptions{Level: level})))
-
-	specs := make([]auction.Task, *tasks)
-	for i := range specs {
-		specs[i] = auction.Task{ID: auction.TaskID(i + 1), Requirement: *requirement}
-	}
-
-	var journalFile *os.File
-	if *journal != "" {
-		f, err := os.OpenFile(*journal, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	var spans *span.Journal
+	if o.spanJournal != "" {
+		sj, err := span.OpenJournal(span.JournalConfig{Path: o.spanJournal, Node: o.node})
 		if err != nil {
 			return err
 		}
-		defer f.Close()
-		journalFile = f
-	}
-
-	nodeName := *nodeFlag
-	if nodeName == "" {
-		switch {
-		case *clusterArg != "" && *shard != "":
-			nodeName = *shard + "@" + *addr
-		case *clusterArg != "":
-			nodeName = "router"
-		default:
-			nodeName = "platform"
-		}
-	}
-
-	var spanSinks []span.Sink
-	var spanJ *span.Journal
-	if *spanJournal != "" {
-		sj, err := span.OpenJournal(span.JournalConfig{Path: *spanJournal, Node: nodeName})
-		if err != nil {
-			return err
-		}
-		spanJ = sj
+		spans = sj
 		defer func() {
 			if err := sj.Close(); err != nil {
 				slog.Warn("span journal close", "err", err)
@@ -197,71 +230,62 @@ func run(args []string) error {
 				slog.Warn("span journal dropped records", "dropped", n)
 			}
 		}()
-		spanSinks = append(spanSinks, sj)
-		slog.Info("span journal attached", "path", *spanJournal, "node", nodeName)
+		slog.Info("span journal attached", "path", o.spanJournal, "node", o.node)
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	if *clusterArg != "" {
-		return runCluster(ctx, clusterOptions{
-			node:        nodeName,
-			journal:     spanJ,
-			shards:      strings.Split(*clusterArg, ","),
-			shard:       *shard,
-			peers:       *peers,
-			addr:        *addr,
-			repAddr:     *repAddr,
-			stateDir:    *stateDir,
-			follow:      *follow,
-			followDir:   *followDir,
-			followAdr:   *followAddr,
-			campaigns:   *campaigns,
-			tasks:       specs,
-			bidders:     *bidders,
-			rounds:      *rounds,
-			alpha:       *alpha,
-			epsilon:     *epsilon,
-			window:      *window,
-			workers:     *workers,
-			spanSinks:   spanSinks,
-			metricsAddr: *metricsAddr,
-			audit:       auditOn,
-			auditSLO:    sloCfg,
-			reputation:  *repFlag,
-			repPrior:    *repPrior,
-		})
+	ctx, abort := context.WithCancelCause(ctx)
+	defer abort(nil)
+	hook := onRound(time.Now(), abort)
+	if o.cluster != "" {
+		err = runCluster(ctx, o, spans, hook)
+	} else {
+		err = runEngine(ctx, o, spans, hook)
 	}
+	if cause := context.Cause(ctx); errors.Is(cause, errRoundFailed) {
+		return cause
+	}
+	return err
+}
+
+// spanSinks lists the -span-journal journal as a span sink, if one is open.
+func spanSinks(j *span.Journal) []span.Sink {
+	if j == nil {
+		return nil
+	}
+	return []span.Sink{j}
+}
+
+// runEngine is platformd's one non-cluster serving path: it registers the
+// campaigns (or resumes the recovered ones), serves them on one listener
+// until they finish, and prints the engine's metrics snapshot on exit.
+func runEngine(ctx context.Context, o *options, spans *span.Journal, hook func(engine.RoundResult)) error {
+	start := time.Now()
+	sinks := spanSinks(spans)
 
 	// The ops endpoint comes up before recovery so /readyz can answer 503
 	// "recovering" while the WAL replays; the engine swaps in when ready.
 	ops := &opsState{}
-	ops.journal.Store(spanJ)
-	var aud *audit.Auditor
-	if auditOn {
-		aud = audit.New(audit.Config{SLO: sloCfg})
+	if o.audit {
+		ops.aud = audit.New(audit.Config{SLO: o.slo})
 		// The auditor is also a span sink: span end events feed its SLO
 		// engine, alongside whatever journal -span-journal attached.
-		spanSinks = append(spanSinks, aud)
-		ops.aud.Store(aud)
+		sinks = append(sinks, ops.aud)
 		sloCount := 0
-		if sloCfg != nil {
-			sloCount = len(sloCfg.Targets)
+		if o.slo != nil {
+			sloCount = len(o.slo.Targets)
 		}
 		slog.Info("live auditor enabled", "slo_targets", sloCount)
 	}
-	var rep *reputation.Store
-	if *repFlag {
-		rep, err = reputation.NewStore(reputation.StoreConfig{PriorStrength: *repPrior})
+	if o.reputation {
+		rep, err := reputation.NewStore(reputation.StoreConfig{PriorStrength: o.repPrior})
 		if err != nil {
 			return err
 		}
-		ops.rep.Store(rep)
-		slog.Info("reputation loop enabled", "prior", *repPrior)
+		ops.rep = rep
+		slog.Info("reputation loop enabled", "prior", o.repPrior)
 	}
-	if *metricsAddr != "" {
-		srv, err := serveOps(*metricsAddr, ops)
+	if o.metricsAddr != "" {
+		srv, err := serveOps(o.metricsAddr, ops, spans)
 		if err != nil {
 			return err
 		}
@@ -272,9 +296,9 @@ func run(args []string) error {
 	// store; a round journal rides the same stream through a JournalStore.
 	var rec *platform.Recovered
 	var eventStore store.Store
-	if *stateDir != "" {
+	if o.stateDir != "" {
 		ops.recovering.Store(true)
-		r, err := platform.Recover(*stateDir, spanSinks...)
+		r, err := platform.Recover(o.stateDir, sinks...)
 		if err != nil {
 			return err
 		}
@@ -285,7 +309,7 @@ func run(args []string) error {
 				slog.Warn("wal close", "err", err)
 			}
 		}()
-		slog.Info("durable state recovered", "dir", *stateDir,
+		slog.Info("durable state recovered", "dir", o.stateDir,
 			"campaigns", len(r.State.Order),
 			"replayed_events", r.Info.ReplayedEvents,
 			"snapshot_seq", r.Info.SnapshotSeq,
@@ -295,73 +319,114 @@ func run(args []string) error {
 	}
 	// The round journal is derived from the same event stream (one encoder,
 	// no drift).
-	if journalFile != nil {
+	if o.journal != "" {
+		f, err := os.OpenFile(o.journal, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
 		var seed *store.State
 		if rec != nil {
 			seed = rec.State
 		}
-		js, err := platform.NewJournalStore(journalFile, seed)
+		js, err := platform.NewJournalStore(f, seed)
 		if err != nil {
 			return err
 		}
 		eventStore = store.Multi(eventStore, js)
 	}
-
-	// The auditor rides the emit path after the WAL and the journal,
-	// checking each round as it settles.
-	if aud != nil {
-		eventStore = store.Multi(eventStore, aud)
+	ecfg := engine.Config{
+		Workers:    o.workers,
+		NodeID:     o.node,
+		SpanSinks:  sinks,
+		Store:      eventStore,
+		Reputation: ops.rep,
+		OnRound:    hook,
 	}
+	if ops.aud != nil {
+		// The auditor rides the emit path after the WAL and the journal,
+		// checking each round as it settles.
+		ecfg.Store = store.Multi(eventStore, ops.aud)
+		ecfg.AuditStatus = ops.aud.Status
+	}
+	eng := engine.New(ecfg)
+	if ops.aud != nil {
+		// Audit spans land in the engine's own ring and journal.
+		ops.aud.SetSpans(eng.SpanTracer())
+	}
+	if rec.HasCampaigns() {
+		if err := eng.Restore(rec.State); err != nil {
+			return err
+		}
+		slog.Info("resuming recovered campaigns; campaign flags ignored",
+			"campaigns", len(rec.State.Order))
+	} else {
+		for _, id := range campaignIDs(o.campaigns) {
+			if err := eng.AddCampaign(o.campaign(id)); err != nil {
+				return err
+			}
+		}
+	}
+	if err := eng.Listen(o.addr); err != nil {
+		return err
+	}
+	slog.Info("engine listening", "addr", eng.Addr().String(), "campaigns", len(eng.Results()),
+		"rounds", o.rounds, "tasks", o.tasks, "requirement", o.requirement, "bidders", o.bidders)
+	ops.setEngine(eng)
 
-	return runEngine(ctx, engineOptions{
-		addr:      *addr,
-		node:      nodeName,
-		tasks:     specs,
-		bidders:   *bidders,
-		window:    *window,
-		rounds:    *rounds,
-		campaigns: *campaigns,
-		workers:   *workers,
-		alpha:     *alpha,
-		epsilon:   *epsilon,
-		spanSinks: spanSinks,
-		store:     eventStore,
-		recovered: rec,
-		ops:       ops,
-		aud:       aud,
-		rep:       rep,
+	err := eng.Serve(ctx)
+	fmt.Printf("\nengine metrics after %s:\n%s\n",
+		time.Since(start).Round(time.Millisecond), eng.Snapshot())
+	return err
+}
+
+// opsSource is what the ops endpoint reads, in either serving mode: the
+// standalone opsState or a *cluster.Node.
+type opsSource interface {
+	MetricFamilies() []obs.Family
+	Health() obs.Health
+	Readiness() obs.Readiness
+	AuditReports() []obs.AuditReport
+	ReputationReports() []obs.ReputationReport
+	SpanRecords(n int) []span.Record
+}
+
+// opsPaths lists what serveOps serves, for the -metrics-addr help and the
+// start-up log line.
+const opsPaths = "/metrics /healthz /readyz /debug/rounds /debug/spans /debug/audit /debug/reputation /debug/pprof/"
+
+// serveOps starts the observability endpoint over src, adding the span
+// journal's, the runtime's and the build's families to its metrics, and
+// reports where it landed.
+func serveOps(addr string, src opsSource, spans *span.Journal) (*obs.OpsServer, error) {
+	srv, err := obs.Serve(addr, obs.Options{
+		Gather: func() []obs.Family {
+			fams := append(src.MetricFamilies(), obs.JournalFamilies(spans)...)
+			fams = append(fams, obs.RuntimeFamilies()...)
+			return append(fams, buildinfo.Family())
+		},
+		Health:     src.Health,
+		Ready:      src.Readiness,
+		Spans:      src.SpanRecords,
+		Audit:      src.AuditReports,
+		Reputation: src.ReputationReports,
 	})
+	if err != nil {
+		return nil, err
+	}
+	slog.Info("ops endpoint up", "url", "http://"+srv.Addr().String(), "paths", opsPaths)
+	return srv, nil
 }
 
-type engineOptions struct {
-	addr      string
-	node      string
-	tasks     []auction.Task
-	bidders   int
-	window    time.Duration
-	rounds    int
-	campaigns int // 0 registers one campaign named "default"
-	workers   int
-	alpha     float64
-	epsilon   float64
-	spanSinks []span.Sink
-	store     store.Store
-	recovered *platform.Recovered
-	ops       *opsState
-	aud       *audit.Auditor
-	rep       *reputation.Store
-}
-
-// opsState is the swap point between "recovering" and "serving" for the ops
-// endpoint: before an engine is installed, /readyz answers 503 recovering
-// (when a WAL replay is in progress) and /metrics serves WAL counters only;
-// once the engine takes over, its full surface is exposed.
+// opsState is the standalone opsSource and the swap point between
+// "recovering" and "serving": before an engine is installed, /readyz answers
+// 503 recovering (when a WAL replay is in progress) and /metrics serves WAL
+// counters only; once the engine takes over, its full surface is exposed.
 type opsState struct {
-	eng        atomic.Pointer[engine.Engine]
+	aud        *audit.Auditor    // set before serving starts; nil without -audit
+	rep        *reputation.Store // set before serving starts; nil without -reputation
 	wal        atomic.Pointer[store.WAL]
-	aud        atomic.Pointer[audit.Auditor]
-	rep        atomic.Pointer[reputation.Store]
-	journal    atomic.Pointer[span.Journal]
+	eng        atomic.Pointer[engine.Engine]
 	recovering atomic.Bool
 }
 
@@ -370,7 +435,7 @@ func (o *opsState) setEngine(e *engine.Engine) {
 	o.recovering.Store(false)
 }
 
-func (o *opsState) gather() []obs.Family {
+func (o *opsState) MetricFamilies() []obs.Family {
 	var fams []obs.Family
 	if e := o.eng.Load(); e != nil {
 		fams = e.MetricFamilies()
@@ -378,32 +443,30 @@ func (o *opsState) gather() []obs.Family {
 	if w := o.wal.Load(); w != nil {
 		fams = append(fams, w.Families()...)
 	}
-	if a := o.aud.Load(); a != nil {
-		fams = append(fams, a.Families()...)
+	if o.aud != nil {
+		fams = append(fams, o.aud.Families()...)
 	}
-	if r := o.rep.Load(); r != nil {
-		fams = append(fams, r.Families()...)
+	if o.rep != nil {
+		fams = append(fams, o.rep.Families()...)
 	}
-	fams = append(fams, obs.JournalFamilies(o.journal.Load())...)
-	fams = append(fams, obs.RuntimeFamilies()...)
-	return append(fams, buildinfo.Family())
+	return fams
 }
 
-func (o *opsState) audit() []obs.AuditReport {
-	if a := o.aud.Load(); a != nil {
-		return []obs.AuditReport{a.Report()}
+func (o *opsState) AuditReports() []obs.AuditReport {
+	if o.aud != nil {
+		return []obs.AuditReport{o.aud.Report()}
 	}
 	return nil
 }
 
-func (o *opsState) reputation() []obs.ReputationReport {
-	if r := o.rep.Load(); r != nil {
-		return []obs.ReputationReport{r.Report()}
+func (o *opsState) ReputationReports() []obs.ReputationReport {
+	if o.rep != nil {
+		return []obs.ReputationReport{o.rep.Report()}
 	}
 	return nil
 }
 
-func (o *opsState) health() obs.Health {
+func (o *opsState) Health() obs.Health {
 	if e := o.eng.Load(); e != nil {
 		return e.Health()
 	}
@@ -414,37 +477,18 @@ func (o *opsState) health() obs.Health {
 	return obs.Health{Status: status}
 }
 
-func (o *opsState) ready() obs.Readiness {
+func (o *opsState) Readiness() obs.Readiness {
 	if e := o.eng.Load(); e != nil {
 		return e.Readiness()
 	}
-	return obs.Readiness{Health: o.health()}
+	return obs.Readiness{Health: o.Health()}
 }
 
-func (o *opsState) spans(n int) []span.Record {
+func (o *opsState) SpanRecords(n int) []span.Record {
 	if e := o.eng.Load(); e != nil {
 		return e.SpanRecords(n)
 	}
 	return nil
-}
-
-// serveOps starts the observability endpoint over the swap point and
-// reports where it landed.
-func serveOps(addr string, ops *opsState) (*obs.OpsServer, error) {
-	srv, err := obs.Serve(addr, obs.Options{
-		Gather:     ops.gather,
-		Health:     ops.health,
-		Ready:      ops.ready,
-		Spans:      ops.spans,
-		Audit:      ops.audit,
-		Reputation: ops.reputation,
-	})
-	if err != nil {
-		return nil, err
-	}
-	slog.Info("ops endpoint up", "url", "http://"+srv.Addr().String(),
-		"paths", "/metrics /healthz /readyz /debug/rounds /debug/spans /debug/audit /debug/reputation /debug/pprof/")
-	return srv, nil
 }
 
 // errRoundFailed marks a round that failed for a reason other than
@@ -452,73 +496,6 @@ func serveOps(addr string, ops *opsState) (*obs.OpsServer, error) {
 // void and the campaign goes on, anything else means winner determination
 // itself broke.
 var errRoundFailed = errors.New("round failed")
-
-// runEngine is platformd's one non-cluster serving path: it registers the
-// campaigns (or resumes the recovered ones), serves them on one listener
-// until they finish, and prints the engine's metrics snapshot on exit.
-func runEngine(ctx context.Context, opts engineOptions) error {
-	start := time.Now()
-	ctx, abort := context.WithCancelCause(ctx)
-	defer abort(nil)
-	ecfg := engine.Config{
-		Workers:    opts.workers,
-		NodeID:     opts.node,
-		SpanSinks:  opts.spanSinks,
-		Store:      opts.store,
-		Reputation: opts.rep,
-		OnRound:    onRound(start, abort),
-	}
-	if opts.aud != nil {
-		ecfg.AuditStatus = opts.aud.Status
-	}
-	eng := engine.New(ecfg)
-	if opts.aud != nil {
-		// Audit spans land in the engine's own ring and journal.
-		opts.aud.SetSpans(eng.SpanTracer())
-	}
-	if opts.recovered.HasCampaigns() {
-		if err := eng.Restore(opts.recovered.State); err != nil {
-			return err
-		}
-		slog.Info("resuming recovered campaigns; campaign flags ignored",
-			"campaigns", len(opts.recovered.State.Order))
-	} else {
-		for _, id := range campaignIDs(opts.campaigns) {
-			err := eng.AddCampaign(engine.CampaignConfig{
-				ID:              id,
-				Tasks:           opts.tasks,
-				ExpectedBidders: opts.bidders,
-				BidWindow:       opts.window,
-				Rounds:          opts.rounds,
-				Alpha:           opts.alpha,
-				Epsilon:         opts.epsilon,
-			})
-			if err != nil {
-				return err
-			}
-		}
-	}
-	if err := eng.Listen(opts.addr); err != nil {
-		return err
-	}
-	listening := []any{"addr", eng.Addr().String(), "campaigns", len(eng.Results()),
-		"rounds", opts.rounds, "tasks", len(opts.tasks)}
-	if len(opts.tasks) > 0 { // -tasks 0 is legal when resuming recovered campaigns
-		listening = append(listening, "requirement", opts.tasks[0].Requirement)
-	}
-	slog.Info("engine listening", append(listening, "bidders", opts.bidders)...)
-	if opts.ops != nil {
-		opts.ops.setEngine(eng)
-	}
-
-	err := eng.Serve(ctx)
-	fmt.Printf("\nengine metrics after %s:\n%s\n",
-		time.Since(start).Round(time.Millisecond), eng.Snapshot())
-	if cause := context.Cause(ctx); errors.Is(cause, errRoundFailed) {
-		return cause
-	}
-	return err
-}
 
 // onRound logs each settled round and aborts serving, with errRoundFailed as
 // the cause, on a round that failed for a reason other than infeasibility.

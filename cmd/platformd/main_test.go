@@ -2,9 +2,11 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -15,6 +17,8 @@ import (
 	"crowdsense/internal/auction"
 	"crowdsense/internal/engine"
 	"crowdsense/internal/mechanism"
+	"crowdsense/internal/obs"
+	"crowdsense/internal/obs/span"
 	"crowdsense/internal/platform"
 )
 
@@ -33,13 +37,21 @@ func freeAddr(t *testing.T) string {
 // runAsync runs platformd with args and returns its result channel.
 func runAsync(args ...string) <-chan error {
 	done := make(chan error, 1)
-	go func() { done <- run(args) }()
+	go func() { done <- run(context.Background(), args) }()
 	return done
 }
 
-// playRound runs two agents that name no campaign against addr, retrying
-// dials until platformd listens, then waits for platformd to exit.
+// playRound runs two agents that name no campaign against addr, then waits
+// for platformd to exit.
 func playRound(t *testing.T, addr string, done <-chan error) {
+	t.Helper()
+	playAgents(t, addr, "")
+	waitExit(t, done)
+}
+
+// playAgents runs two agents bidding in campaign against addr, retrying
+// dials until platformd listens, and waits for both to finish.
+func playAgents(t *testing.T, addr, campaign string) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -47,8 +59,9 @@ func playRound(t *testing.T, addr string, done <-chan error) {
 	for user := auction.UserID(1); user <= 2; user++ {
 		go func() {
 			_, err := agent.RunWithBackoff(ctx, agent.Config{
-				Addr: addr,
-				User: user,
+				Addr:     addr,
+				Campaign: campaign,
+				User:     user,
 				TrueBid: auction.NewBid(user, []auction.TaskID{1}, float64(user)+1,
 					map[auction.TaskID]float64{1: 0.6}),
 				Seed:    int64(user),
@@ -62,7 +75,6 @@ func playRound(t *testing.T, addr string, done <-chan error) {
 			t.Fatalf("agent: %v", err)
 		}
 	}
-	waitExit(t, done)
 }
 
 // waitExit fails the test unless platformd exits cleanly within 30 s.
@@ -151,6 +163,8 @@ func TestRejectsBadFlags(t *testing.T) {
 		{"negative rounds", []string{"-rounds", "-2"}, "-rounds -2 must be positive"},
 		{"journal in cluster mode", []string{"-cluster", "s1", "-shard", "s1", "-state-dir", t.TempDir(),
 			"-journal", journal}, "-journal is not supported with -cluster"},
+		{"metrics-addr on the router", []string{"-cluster", "s1", "-peers", "s1=127.0.0.1:1",
+			"-metrics-addr", "127.0.0.1:0"}, "-metrics-addr is not supported by the shard router"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			done := runAsync(append([]string{"-addr", "127.0.0.1:0", "-log-level", "warn"}, tc.args...)...)
@@ -188,4 +202,61 @@ func TestOnlyInfeasibleRoundsAreVoid(t *testing.T) {
 		!strings.Contains(cause.Error(), "campaign default round 2: critical bid search diverged") {
 		t.Errorf("failed round: cause %v, want errRoundFailed naming the round", cause)
 	}
+}
+
+// TestClusterNodeOpsSurface runs a one-shard cluster node through run with
+// -metrics-addr and plays one round on c1: the node serves the standalone
+// endpoint set, so /debug/rounds holds the round's record, /debug/spans is
+// non-empty, and /healthz is liveness — 200, never "degraded", even while
+// an SLO no round can meet (1ns) degrades /readyz to 503.
+func TestClusterNodeOpsSurface(t *testing.T) {
+	addr, metrics := freeAddr(t), freeAddr(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		done <- run(ctx, []string{"-cluster", "s1", "-shard", "s1", "-addr", addr,
+			"-state-dir", t.TempDir(), "-campaigns", "1", "-tasks", "1", "-requirement", "0.3",
+			"-bidders", "2", "-rounds", "2", "-slo-p99", "round=1ns", "-metrics-addr", metrics,
+			"-log-level", "warn"})
+	}()
+	playAgents(t, addr, "c1")
+
+	get := func(path string, v any) int {
+		t.Helper()
+		resp, err := http.Get("http://" + metrics + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		defer resp.Body.Close()
+		if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+			t.Fatalf("GET %s: status %d, bad JSON: %v", path, resp.StatusCode, err)
+		}
+		return resp.StatusCode
+	}
+	var rounds, spans []span.Record
+	if code := get("/debug/rounds", &rounds); code != http.StatusOK {
+		t.Errorf("/debug/rounds answered %d", code)
+	}
+	found := false
+	for _, r := range rounds {
+		found = found || (r.Name == span.NameRound && r.Campaign == "c1" && r.Round == 1)
+	}
+	if !found {
+		t.Errorf("/debug/rounds holds no round record for c1 round 1: %+v", rounds)
+	}
+	if code := get("/debug/spans", &spans); code != http.StatusOK || len(spans) == 0 {
+		t.Errorf("/debug/spans answered %d with %d records, want 200 and some", code, len(spans))
+	}
+	var ready obs.Readiness
+	if code := get("/readyz", &ready); code != http.StatusServiceUnavailable || ready.Health.Status != obs.StatusDegraded {
+		t.Errorf("/readyz answered %d %q, want 503 %q from the breached SLO", code, ready.Health.Status, obs.StatusDegraded)
+	}
+	var health obs.Health
+	if code := get("/healthz", &health); code != http.StatusOK || health.Status == obs.StatusDegraded {
+		t.Errorf("/healthz answered %d %q, want 200 and not %q", code, health.Status, obs.StatusDegraded)
+	}
+
+	cancel()
+	waitExit(t, done)
 }

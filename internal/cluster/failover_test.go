@@ -170,18 +170,27 @@ func TestClusterFailoverDifferential(t *testing.T) {
 	playClusterRound(t, router.Addr(), campB, 1, quick)
 	playClusterRound(t, router.Addr(), campA, 2, quick)
 
-	// Quiesce: the replica must be level with the leader's durable log before
-	// the kill, or the async window would (honestly) lose the tail.
+	// Quiesce: the leader's durable log must cover its in-memory state (the
+	// pre-kill truth SnapshotNow captures below), and the replica must be
+	// level with it before the kill, or the async window would (honestly)
+	// lose the tail — events still in the group-commit buffer never ship.
 	leaderWAL := n1.WAL("s1")
 	deadline := time.Now().Add(10 * time.Second)
 	for {
+		if err := leaderWAL.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		_, live, err := leaderWAL.SnapshotNow()
+		if err != nil {
+			t.Fatal(err)
+		}
 		last := leaderWAL.LastSeq()
-		if last > 0 && n2.AppliedSeq() == last {
+		if last > 0 && last == live && n2.AppliedSeq() == last {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("replica never caught up: applied %d, leader durable %d",
-				n2.AppliedSeq(), leaderWAL.LastSeq())
+			t.Fatalf("replica never caught up: applied %d, leader durable %d, leader live %d",
+				n2.AppliedSeq(), last, live)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

@@ -2,10 +2,12 @@ package cluster
 
 import (
 	"bufio"
+	"math"
 	"strings"
 	"testing"
 	"time"
 
+	"crowdsense/internal/agent"
 	"crowdsense/internal/engine"
 	"crowdsense/internal/obs"
 )
@@ -14,16 +16,19 @@ import (
 // makes it lead two shards: /metrics carries every led shard's engine, WAL,
 // auditor and reputation families, each sample labelled with its shard
 // first, under exactly one # TYPE header per family name; /debug/audit and
-// /debug/reputation carry one report per led shard, stamped with the shard.
+// /debug/reputation carry one report per led shard, stamped with the shard;
+// /debug/spans merges both shards' engine spans in end order; and /healthz
+// is liveness, never the audit status.
 func TestNodeMetricsAfterPromotion(t *testing.T) {
 	ring := NewRing([]string{"s1", "s2"}, 0)
+	campA, campB := pickCampaign(t, ring, "s1"), pickCampaign(t, ring, "s2")
 	n1, err := StartNode(NodeConfig{
 		Name:       "n1",
 		Shard:      "s1",
 		StateDir:   t.TempDir(),
 		AgentAddr:  "127.0.0.1:0",
 		RepAddr:    "127.0.0.1:0",
-		Campaigns:  []engine.CampaignConfig{clusterCampaign(pickCampaign(t, ring, "s1"), 2)},
+		Campaigns:  []engine.CampaignConfig{clusterCampaign(campA, 2)},
 		Audit:      true,
 		Reputation: true,
 		Logf:       t.Logf,
@@ -37,7 +42,7 @@ func TestNodeMetricsAfterPromotion(t *testing.T) {
 		Shard:      "s2",
 		StateDir:   t.TempDir(),
 		AgentAddr:  "127.0.0.1:0",
-		Campaigns:  []engine.CampaignConfig{clusterCampaign(pickCampaign(t, ring, "s2"), 2)},
+		Campaigns:  []engine.CampaignConfig{clusterCampaign(campB, 2)},
 		Audit:      true,
 		Reputation: true,
 		Follow: &FollowConfig{
@@ -63,6 +68,26 @@ func TestNodeMetricsAfterPromotion(t *testing.T) {
 	})
 	n1.Halt()
 	waitFor(t, "n2 promoted to s1 leader", func() bool { return n2.Roles()["s1"] == RoleLeader })
+
+	// One round on each shard n2 now leads, so both engines' span rings
+	// hold records.
+	quick := agent.Backoff{Attempts: 10, Base: 50 * time.Millisecond, Max: time.Second}
+	playClusterRound(t, n2.AgentAddr("s2"), campB, 1, quick)
+	playClusterRound(t, n2.AgentAddr("s1"), campA, 1, quick)
+	recs := n2.SpanRecords(math.MaxInt)
+	campaigns := map[string]bool{}
+	for i, r := range recs {
+		campaigns[r.Campaign] = true
+		if i > 0 && spanEnd(r).Before(spanEnd(recs[i-1])) {
+			t.Errorf("span %d (%s) ends at %v, before span %d's end %v", i, r.Name, spanEnd(r), i-1, spanEnd(recs[i-1]))
+		}
+	}
+	if !campaigns[campA] || !campaigns[campB] {
+		t.Errorf("SpanRecords covers campaigns %v, want both %s (s1) and %s (s2)", campaigns, campA, campB)
+	}
+	if h := n2.Health(); h.Status == obs.StatusDegraded {
+		t.Errorf("Health().Status = %q: liveness must not carry the audit status", h.Status)
+	}
 
 	var buf strings.Builder
 	if err := obs.RenderMetrics(&buf, n2.MetricFamilies()); err != nil {

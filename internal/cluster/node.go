@@ -334,17 +334,27 @@ func (n *Node) Roles() map[string]string {
 	return out
 }
 
+// Health is the node's liveness: the led engines' Health merged (see
+// mergeHealth), recovering while a shard promotes, idle
+// when nothing is led. Like Engine.Health it never carries the audit status.
+func (n *Node) Health() obs.Health {
+	var hs []obs.Health
+	for _, s := range n.led() {
+		hs = append(hs, s.eng.Health())
+	}
+	return mergeHealth(hs, n.Roles())
+}
+
 // Readiness merges the led shards' engine readiness with per-shard roles
 // and, when auditing is on, each led shard's audit status — one degraded
 // shard answers 503 for the whole node (obs.Readiness.OK).
 func (n *Node) Readiness() obs.Readiness {
 	roles := n.Roles()
 	rep := obs.Readiness{Campaigns: map[string]obs.CampaignStatus{}, Shards: roles}
+	var hs []obs.Health
 	for _, s := range n.led() {
 		er := s.eng.Readiness()
-		if rep.Health.Status == "" || !er.Health.OK() {
-			rep.Health = er.Health
-		}
+		hs = append(hs, er.Health)
 		for id, st := range er.Campaigns {
 			rep.Campaigns[id] = st
 		}
@@ -355,16 +365,49 @@ func (n *Node) Readiness() obs.Readiness {
 			rep.ShardAudit[s.id] = s.aud.Status()
 		}
 	}
-	for _, role := range roles {
-		if role == RoleRecovering {
-			rep.Health.Status = obs.StatusRecovering
-		}
-	}
-	if rep.Health.Status == "" {
-		rep.Health.Status = obs.StatusIdle
-	}
+	rep.Health = mergeHealth(hs, roles)
 	return rep
 }
+
+// mergeHealth folds the led shards' health reports into one: the last
+// report not OK, else the first; recovering while any shard promotes; idle
+// when nothing is led.
+func mergeHealth(hs []obs.Health, roles map[string]string) obs.Health {
+	var h obs.Health
+	for _, sh := range hs {
+		if h.Status == "" || !sh.OK() {
+			h = sh
+		}
+	}
+	for _, role := range roles {
+		if role == RoleRecovering {
+			h.Status = obs.StatusRecovering
+		}
+	}
+	if h.Status == "" {
+		h.Status = obs.StatusIdle
+	}
+	return h
+}
+
+// SpanRecords returns up to n of the led engines' most recent span records,
+// merged oldest first by end time — the /debug/spans and /debug/rounds feed.
+func (n *Node) SpanRecords(limit int) []span.Record {
+	if limit <= 0 {
+		return nil
+	}
+	var recs []span.Record
+	for _, s := range n.led() {
+		recs = append(recs, s.eng.SpanRecords(limit)...)
+	}
+	sort.SliceStable(recs, func(i, j int) bool { return spanEnd(recs[i]).Before(spanEnd(recs[j])) })
+	if len(recs) > limit {
+		recs = recs[len(recs)-limit:]
+	}
+	return recs
+}
+
+func spanEnd(r span.Record) time.Time { return r.Start.Add(r.Duration()) }
 
 // AuditReports collects the led shards' /debug/audit payloads, sorted and
 // stamped by shard. Empty (not nil) when auditing is off.
