@@ -18,13 +18,14 @@ RACE_PKGS = ./internal/engine/... ./internal/obs/... \
 # Packages whose go test micro-benchmarks `make bench` and `make check` run
 # once each: the solver and mechanism hot paths with the *Reference
 # baselines they are compared against, engine throughput and span journal,
-# cluster failover and rounds, the wire codecs, the span ring, auditor and
-# SLO evaluation, mobility fitting, and swarm fan-in. (The root package's
-# benchmarks are the paper's figure runs, not micro-benchmarks.) End-to-end
-# and per-layer numbers come from `bash perfbench/run.sh`.
+# cluster failover and rounds, the wire codecs, the WAL stream's Recv, the
+# span ring, auditor and SLO evaluation, mobility fitting, and swarm
+# fan-in. (The root package's benchmarks are the paper's figure runs, not
+# micro-benchmarks.) End-to-end and per-layer numbers come from
+# `bash perfbench/run.sh`.
 BENCH_PKGS = ./internal/knapsack ./internal/setcover ./internal/mechanism \
-	./internal/engine ./internal/cluster ./internal/wire ./internal/obs/span \
-	./internal/obs/audit ./internal/mobility ./cmd/crowdsim
+	./internal/engine ./internal/cluster ./internal/wire ./internal/store \
+	./internal/obs/span ./internal/obs/audit ./internal/mobility ./cmd/crowdsim
 
 .PHONY: all build test race fuzz-seed bench check
 
@@ -69,6 +70,15 @@ prod-symbols:
 			echo "prod-symbols: $$cmd links a *Reference solver" >&2; exit 1; \
 		fi; \
 	done
+
+# Regenerate the paper-figure golden that TestFiguresGolden (go test ./...)
+# compares benchfig's output to: the default quick scale, seed 1. The file is
+# written as-is; the test masks the wall-clock "runtime" columns when it
+# compares. A change that means to move a figure reruns this and reports the
+# diff.
+.PHONY: figures
+figures:
+	$(GO) run ./cmd/benchfig > cmd/benchfig/testdata/figures.golden
 
 # Crash-recovery differential: kill a WAL-backed engine mid-round, reopen
 # the log, finish the campaign, and require outcomes identical to an

@@ -11,8 +11,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -22,22 +24,31 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return
+		}
 		fmt.Fprintln(os.Stderr, "benchfig:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run regenerates the selected artifacts: each one's rendered series goes to
+// stdout, progress and diagnostics to stderr. Split out of main for testing.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("benchfig", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		scale   = flag.String("scale", "quick", "environment scale: quick or full")
-		only    = flag.String("only", "", "comma-separated artifact IDs to run (default all)")
-		csvDir  = flag.String("csv", "", "directory to write per-artifact CSV files")
-		seed    = flag.Int64("seed", 1, "random seed")
-		reps    = flag.Int("reps", 0, "averaging repetitions per sweep point (0 = scale default)")
-		spanOut = flag.String("span-journal", "", "record one root span per artifact to this JSONL file")
+		scale   = fs.String("scale", "quick", "environment scale: quick or full")
+		only    = fs.String("only", "", "comma-separated artifact IDs to run (default all)")
+		csvDir  = fs.String("csv", "", "directory to write per-artifact CSV files")
+		seed    = fs.Int64("seed", 1, "random seed")
+		reps    = fs.Int("reps", 0, "averaging repetitions per sweep point (0 = scale default)")
+		spanOut = fs.String("span-journal", "", "record one root span per artifact to this JSONL file")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	var tracer *span.Tracer
 	if *spanOut != "" {
@@ -47,7 +58,7 @@ func run() error {
 		}
 		defer func() {
 			if err := sj.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "benchfig: span journal close:", err)
+				fmt.Fprintln(stderr, "benchfig: span journal close:", err)
 			}
 		}()
 		tracer = span.New(sj)
@@ -67,7 +78,7 @@ func run() error {
 		cfg.Repetitions = *reps
 	}
 
-	fmt.Fprintf(os.Stderr, "building environment (%s scale, seed %d)...\n", *scale, *seed)
+	fmt.Fprintf(stderr, "building environment (%s scale, seed %d)...\n", *scale, *seed)
 	env, err := experiments.NewEnv(cfg)
 	if err != nil {
 		return err
@@ -119,7 +130,7 @@ func run() error {
 		if len(wanted) > 0 && !wanted[h.id] {
 			continue
 		}
-		fmt.Fprintf(os.Stderr, "running %s...\n", h.id)
+		fmt.Fprintf(stderr, "running %s...\n", h.id)
 		sp := tracer.Start("bench.artifact", span.Str("artifact", h.id))
 		result, err := h.run()
 		if err != nil {
@@ -127,7 +138,7 @@ func run() error {
 			return fmt.Errorf("%s: %w", h.id, err)
 		}
 		sp.End()
-		fmt.Println(result.Render())
+		fmt.Fprintln(stdout, result.Render())
 		if *csvDir != "" {
 			path := filepath.Join(*csvDir, result.ID+".csv")
 			if err := os.WriteFile(path, []byte(result.CSV()), 0o644); err != nil {

@@ -29,7 +29,7 @@
 //
 // Entry points: cmd/crowdsim (end-to-end pipeline), cmd/benchfig
 // (regenerate every figure/table), cmd/platformd and cmd/agentd (the
-// distributed auction), and the runnable walkthroughs under examples/.
-// bench_test.go in this directory carries one testing.B benchmark per paper
-// artifact.
+// distributed auction). example_test.go in this directory holds the runnable
+// walkthroughs as Example functions with pinned output, and bench_test.go
+// carries one testing.B benchmark per paper artifact.
 package crowdsense

@@ -267,7 +267,7 @@ func (n *Node) startLeader(shard, dir, addr string, campaigns []engine.CampaignC
 }
 
 // AgentAddr returns the bound agent address for a shard this node currently
-// leads ("" otherwise) — tests and examples use it with ":0" listeners.
+// leads ("" otherwise) — tests use it with ":0" listeners.
 func (n *Node) AgentAddr(shard string) string {
 	if eng := n.Engine(shard); eng != nil {
 		if a := eng.Addr(); a != nil {

@@ -61,7 +61,6 @@ type Router struct {
 
 	mu       sync.Mutex
 	lastGood map[string]int // shard → member index that answered last
-	closed   bool
 
 	sessions sync.WaitGroup
 	conns    map[net.Conn]struct{}
@@ -129,9 +128,6 @@ func (r *Router) Addr() string { return r.ln.Addr().String() }
 
 // Close stops accepting, severs live sessions, and waits for them to end.
 func (r *Router) Close() {
-	r.mu.Lock()
-	r.closed = true
-	r.mu.Unlock()
 	r.ln.Close()
 	r.connsMu.Lock()
 	for c := range r.conns {

@@ -155,14 +155,19 @@ const (
 
 // AuditFinding is one inconsistency discovered while checking a round.
 type AuditFinding struct {
-	Round   int
-	User    int
-	Rule    string
-	Problem string
+	Campaign string // the entry's campaign; "" for a campaign-less entry
+	Round    int
+	User     int
+	Rule     string
+	Problem  string
 }
 
 func (f AuditFinding) String() string {
-	return fmt.Sprintf("round %d user %d: %s", f.Round, f.User, f.Problem)
+	s := fmt.Sprintf("round %d user %d: %s", f.Round, f.User, f.Problem)
+	if f.Campaign != "" {
+		s = "campaign " + f.Campaign + " " + s
+	}
+	return s
 }
 
 // auditTol absorbs float drift from the mechanism's payment arithmetic; the
@@ -183,6 +188,10 @@ func CheckRound(e JournalEntry) []AuditFinding {
 		return nil // void round: nothing to check
 	}
 	var findings []AuditFinding
+	report := func(user int, rule, format string, args ...any) {
+		findings = append(findings, AuditFinding{Campaign: e.Campaign, Round: e.Round,
+			User: user, Rule: rule, Problem: fmt.Sprintf(format, args...)})
+	}
 	costs := make(map[int]float64, len(e.Bids))
 	for _, b := range e.Bids {
 		costs[b.User] = b.Cost
@@ -195,49 +204,31 @@ func CheckRound(e JournalEntry) []AuditFinding {
 		if e.Alpha > 0 {
 			gap := w.RewardOnSuccess - w.RewardOnFailure
 			if abs(gap-e.Alpha) > auditTol {
-				findings = append(findings, AuditFinding{
-					Round: e.Round, User: w.User, Rule: RuleRewardGap,
-					Problem: fmt.Sprintf("EC reward gap %g mismatches α %g", gap, e.Alpha),
-				})
+				report(w.User, RuleRewardGap, "EC reward gap %g mismatches α %g", gap, e.Alpha)
 			}
 			if w.RewardOnSuccess > costs[w.User]+e.Alpha+auditTol {
-				findings = append(findings, AuditFinding{
-					Round: e.Round, User: w.User, Rule: RuleBudget,
-					Problem: fmt.Sprintf("success reward %g exceeds cost %g + α %g budget band",
-						w.RewardOnSuccess, costs[w.User], e.Alpha),
-				})
+				report(w.User, RuleBudget, "success reward %g exceeds cost %g + α %g budget band",
+					w.RewardOnSuccess, costs[w.User], e.Alpha)
 			}
 			if w.RewardOnFailure < costs[w.User]-e.Alpha-auditTol {
-				findings = append(findings, AuditFinding{
-					Round: e.Round, User: w.User, Rule: RuleBudget,
-					Problem: fmt.Sprintf("failure reward %g below cost %g − α %g budget band",
-						w.RewardOnFailure, costs[w.User], e.Alpha),
-				})
+				report(w.User, RuleBudget, "failure reward %g below cost %g − α %g budget band",
+					w.RewardOnFailure, costs[w.User], e.Alpha)
 			}
 		}
 		if w.RewardOnSuccess < costs[w.User]-auditTol {
-			findings = append(findings, AuditFinding{
-				Round: e.Round, User: w.User, Rule: RuleIR,
-				Problem: fmt.Sprintf("success reward %g below declared cost %g (not individually rational)",
-					w.RewardOnSuccess, costs[w.User]),
-			})
+			report(w.User, RuleIR, "success reward %g below declared cost %g (not individually rational)",
+				w.RewardOnSuccess, costs[w.User])
 		}
 	}
 	if abs(totalCost-e.SocialCost) > auditTol {
-		findings = append(findings, AuditFinding{
-			Round: e.Round, Rule: RuleSocialCost,
-			Problem: fmt.Sprintf("social cost %g mismatches winners' bid costs %g",
-				e.SocialCost, totalCost),
-		})
+		report(0, RuleSocialCost, "social cost %g mismatches winners' bid costs %g",
+			e.SocialCost, totalCost)
 	}
 	totalPaid := 0.0
 	for _, s := range e.Settlements {
 		aw, ok := awards[s.User]
 		if !ok {
-			findings = append(findings, AuditFinding{
-				Round: e.Round, User: s.User, Rule: RuleNonWinner,
-				Problem: "settlement for a non-winner",
-			})
+			report(s.User, RuleNonWinner, "settlement for a non-winner")
 			continue
 		}
 		totalPaid += s.Reward
@@ -246,32 +237,20 @@ func CheckRound(e JournalEntry) []AuditFinding {
 			want = aw.RewardOnSuccess
 		}
 		if abs(s.Reward-want) > auditTol {
-			findings = append(findings, AuditFinding{
-				Round: e.Round, User: s.User, Rule: RuleContract,
-				Problem: fmt.Sprintf("paid %g, contract says %g", s.Reward, want),
-			})
+			report(s.User, RuleContract, "paid %g, contract says %g", s.Reward, want)
 		}
 		if s.Success && s.Reward < costs[s.User]-auditTol {
-			findings = append(findings, AuditFinding{
-				Round: e.Round, User: s.User, Rule: RuleIR,
-				Problem: fmt.Sprintf("successful winner paid %g below declared cost %g (not individually rational)",
-					s.Reward, costs[s.User]),
-			})
+			report(s.User, RuleIR, "successful winner paid %g below declared cost %g (not individually rational)",
+				s.Reward, costs[s.User])
 		}
 		if abs(s.Utility-(s.Reward-costs[s.User])) > auditTol {
-			findings = append(findings, AuditFinding{
-				Round: e.Round, User: s.User, Rule: RuleUtility,
-				Problem: fmt.Sprintf("utility %g mismatches reward %g − cost %g",
-					s.Utility, s.Reward, costs[s.User]),
-			})
+			report(s.User, RuleUtility, "utility %g mismatches reward %g − cost %g",
+				s.Utility, s.Reward, costs[s.User])
 		}
 	}
 	if e.Alpha > 0 && totalPaid > e.SocialCost+float64(len(e.Winners))*e.Alpha+auditTol {
-		findings = append(findings, AuditFinding{
-			Round: e.Round, Rule: RuleBudget,
-			Problem: fmt.Sprintf("total paid %g exceeds budget bound social cost %g + %d winners × α %g",
-				totalPaid, e.SocialCost, len(e.Winners), e.Alpha),
-		})
+		report(0, RuleBudget, "total paid %g exceeds budget bound social cost %g + %d winners × α %g",
+			totalPaid, e.SocialCost, len(e.Winners), e.Alpha)
 	}
 	return findings
 }

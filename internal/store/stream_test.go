@@ -2,6 +2,7 @@ package store
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 )
@@ -354,5 +355,58 @@ func TestSnapshotNowAndInitSnapshot(t *testing.T) {
 	}
 	if got := rw.LastSeq(); got != seq+1 {
 		t.Errorf("replica durable seq = %d, want %d", got, seq+1)
+	}
+}
+
+// BenchmarkStreamRecv times one Recv of a short tail batch (the replication
+// steady state: a follower one group commit behind) at growing offsets into
+// one unrotated segment. Recv re-reads and decodes the segment from its
+// start on every call, so ns/op and B/op grow with the offset although the
+// batch it returns stays the same size.
+func BenchmarkStreamRecv(b *testing.B) {
+	const tail = 16
+	for _, offset := range []int{1 << 10, 8 << 10, 32 << 10} {
+		w, _, err := OpenWAL(WALConfig{Dir: b.TempDir(), SegmentBytes: 1 << 30, FlushInterval: time.Hour})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for c, n := 0, 0; n < offset+tail; c++ {
+			for _, ev := range campaignLifecycle(fmt.Sprintf("c%d", c)) {
+				if n == offset+tail {
+					break
+				}
+				if err := w.Append(ev); err != nil {
+					b.Fatal(err)
+				}
+				n++
+			}
+		}
+		if err := w.Sync(); err != nil {
+			b.Fatal(err)
+		}
+		if segs, _, err := listLog(w.cfg.Dir); err != nil || len(segs) != 1 {
+			b.Fatalf("want one segment, got %d (%v)", len(segs), err)
+		}
+		b.Run(fmt.Sprintf("offset=%dk", offset>>10), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				s, err := w.Stream(uint64(offset))
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				events, err := s.Recv()
+				b.StopTimer()
+				s.Close()
+				if err != nil || len(events) != tail {
+					b.Fatalf("recv: %d events, err %v; want %d", len(events), err, tail)
+				}
+				b.StartTimer()
+			}
+		})
+		if err := w.Close(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -1,6 +1,9 @@
 #!/bin/sh
 # Pre-PR gate and the one list of its gates (`make check` runs this script):
-# gofmt, vet, build, no orphan internal package, the full test suite, then
+# gofmt, vet, build, no orphan internal package, the full test suite (which
+# also pins the walkthroughs' output in example_test.go and every paper
+# figure against cmd/benchfig/testdata/figures.golden, TestFiguresGolden;
+# `make figures` regenerates that golden), then
 # the Makefile's gate targets: race-enabled tests of every
 # concurrency-bearing package (`make race`), a seed-corpus pass of the
 # fuzz targets, a one-iteration smoke run of every micro-benchmark package
