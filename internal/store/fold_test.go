@@ -82,7 +82,7 @@ func recordedStream(t *testing.T) []Event {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recorded, err := readEventRange(dir, 0, uint64(len(evs)))
+	recorded, _, err := readEventRange(dir, cursor{}, 0, uint64(len(evs)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,8 +4,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"sort"
 )
 
 // Streaming errors.
@@ -22,11 +25,23 @@ var (
 // order, blocking until more become durable. A live stream pins retention —
 // compaction never deletes a segment holding events the stream has not yet
 // delivered — so replication readers can trail arbitrarily far behind
-// without racing segment deletion. Streams are safe for one reader; Close
+// without racing segment deletion. Each stream keeps a cursor on the record
+// after its position, so a Recv reads and decodes only the records it
+// returns; a fresh stream's first Recv finds the segment and skips to the
+// record by frame headers alone. Streams are safe for one reader; Close
 // may be called from any goroutine to unblock a pending Recv.
 type Stream struct {
 	w   *WAL
 	pos uint64 // last seq delivered (guarded by w.mu)
+	cur cursor // where record pos+1 starts (read and written by Recv only)
+}
+
+// cursor locates one record in the log: the segment holding it, named for
+// that segment's first seq, and the record's byte offset in the segment.
+// The zero cursor is unset.
+type cursor struct {
+	seg uint64
+	off int64
 }
 
 // Stream opens a tail reader delivering durable events with Seq > fromSeq.
@@ -64,9 +79,12 @@ func (w *WAL) Stream(fromSeq uint64) (*Stream, error) {
 }
 
 // Recv blocks until at least one event past the stream's position is
-// durable, then returns the batch of durable events in sequence order. It
-// returns ErrStreamClosed after Close, ErrWALClosed once the WAL shuts down
-// with nothing left to deliver, or the WAL's sticky error.
+// durable, then returns the batch of durable events in sequence order,
+// starting at position+1, and moves the stream's position and cursor past
+// it. It returns ErrStreamClosed after Close, ErrWALClosed once the WAL
+// shuts down with nothing left to deliver, or the WAL's sticky error, and a
+// "stream gap" error when the log on disk does not hold position+1 where
+// the cursor says; on any error the position and cursor stay put.
 func (s *Stream) Recv() ([]Event, error) {
 	w := s.w
 	w.mu.Lock()
@@ -93,13 +111,14 @@ func (s *Stream) Recv() ([]Event, error) {
 	pos := s.pos
 	w.mu.Unlock()
 
-	events, err := readEventRange(w.cfg.Dir, pos, durable)
+	events, cur, err := readEventRange(w.cfg.Dir, s.cur, pos, durable)
 	if err != nil {
 		return nil, err
 	}
 	if len(events) == 0 {
 		return nil, fmt.Errorf("store: stream gap: no events in (%d, %d] on disk", pos, durable)
 	}
+	s.cur = cur
 	w.mu.Lock()
 	s.pos = events[len(events)-1].Seq
 	w.mu.Unlock()
@@ -117,38 +136,106 @@ func (s *Stream) Close() {
 }
 
 // readEventRange reads the events with seq in (fromSeq, upto] from the
-// segments under dir. Only segments that can contain the range are decoded.
-// Retention pins guarantee those segments outlive the read (see compact).
-func readEventRange(dir string, fromSeq, upto uint64) ([]Event, error) {
-	segs, _, err := listLog(dir)
-	if err != nil {
-		return nil, err
+// segments under dir and returns them with the cursor just past the last
+// one (the cursor it was given when there are none). at locates record
+// fromSeq+1; when it is unset, the read starts at the segment that holds
+// that record and skips the records before it by their frame headers,
+// without decoding them. Seqs are contiguous within and across segments
+// (Append numbers w.seq+1, a segment is named for its first record,
+// recovery appends after the last valid one), so the read counts its way
+// to each record and moves on to the segment named for the next seq when
+// one ends. A decoded record whose seq is not the one counted to is a
+// "stream gap" error. Frames past upto are never decoded: the flusher
+// writes a batch before it advances the durable seq. Retention pins
+// guarantee the segments outlive the read (see compact); a segment already
+// compacted away when the cursor reaches its end has nothing left to read.
+func readEventRange(dir string, at cursor, fromSeq, upto uint64) ([]Event, cursor, error) {
+	cur := at
+	next := fromSeq + 1 // seq of the next event to return
+	seq := next         // seq of the record at cur
+	if cur.seg == 0 {
+		segs, _, err := listLog(dir)
+		if err != nil {
+			return nil, at, err
+		}
+		i := sort.Search(len(segs), func(i int) bool { return segs[i].firstSeq > next }) - 1
+		if i < 0 {
+			return nil, at, nil
+		}
+		cur = cursor{seg: segs[i].firstSeq}
+		seq = cur.seg
 	}
 	var out []Event
-	for i, seg := range segs {
-		// A segment's range ends where the next one begins; skip segments
-		// entirely at or before fromSeq.
-		if i+1 < len(segs) && segs[i+1].firstSeq <= fromSeq+1 {
-			continue
-		}
-		if seg.firstSeq > upto {
-			break
-		}
-		events, _, _, err := readSegmentFile(filepath.Join(dir, seg.name))
+	for next <= upto {
+		data, err := readFileFrom(filepath.Join(dir, segmentName(cur.seg)), cur.off)
 		if err != nil {
-			return nil, err
+			return nil, at, err
 		}
-		for _, ev := range events {
-			if ev.Seq <= fromSeq {
+		var off int64
+		for next <= upto {
+			payload, end, ok := frameAt(data, off)
+			if ok && seq == next {
+				payload, end, ok = readFrame(data, off) // CRC-check what is decoded
+			}
+			if !ok {
+				break
+			}
+			if seq < next { // skipping to the first wanted record
+				off, seq = end, seq+1
 				continue
 			}
-			if ev.Seq > upto {
-				return out, nil
+			var ev Event
+			if err := json.Unmarshal(payload, &ev); err != nil {
+				return nil, at, fmt.Errorf("store: decode record at %s+%d: %w", segmentName(cur.seg), cur.off+off, err)
+			}
+			if ev.Seq != next {
+				return nil, at, fmt.Errorf("store: stream gap: record at %s+%d has seq %d, want %d", segmentName(cur.seg), cur.off+off, ev.Seq, next)
 			}
 			out = append(out, ev)
+			off, seq, next = end, seq+1, next+1
 		}
+		cur.off += off
+		if next > upto {
+			break
+		}
+		if off < int64(len(data)) {
+			return nil, at, fmt.Errorf("store: stream gap: torn record at %s+%d, want seq %d", segmentName(cur.seg), cur.off, next)
+		}
+		if cur.seg == seq { // the segment named for the record we need is empty or absent
+			break
+		}
+		cur = cursor{seg: seq}
 	}
-	return out, nil
+	if len(out) == 0 {
+		return nil, at, nil
+	}
+	return out, cur, nil
+}
+
+// readFileFrom returns the bytes of the file at path from off to its
+// current end; a missing file reads as empty.
+func readFileFrom(path string, off int64) ([]byte, error) {
+	f, err := os.Open(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	if fi.Size() <= off {
+		return nil, nil
+	}
+	data := make([]byte, fi.Size()-off)
+	n, err := f.ReadAt(data, off)
+	if err != nil && !errors.Is(err, io.EOF) {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	return data[:n], nil
 }
 
 // minStreamPosLocked is the earliest position any live stream still needs;

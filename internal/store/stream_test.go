@@ -3,6 +3,9 @@ package store
 import (
 	"errors"
 	"fmt"
+	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -358,11 +361,211 @@ func TestSnapshotNowAndInitSnapshot(t *testing.T) {
 	}
 }
 
+// TestStreamRecvGapLeavesPosition: a cursor planted on the wrong record
+// makes Recv fail with a stream gap, leaving the position and cursor where
+// they were; the error never reaches the wire as a batch that skips events.
+func TestStreamRecvGapLeavesPosition(t *testing.T) {
+	dir := t.TempDir()
+	w, _, err := OpenWAL(WALConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	events := campaignLifecycle("c")
+	appendAll(t, w, events)
+	if err := w.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	const from = 5
+	s, err := w.Stream(from)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	_, atSeq3, err := readEventRange(dir, cursor{}, 0, 2) // the cursor on record 3
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.cur = atSeq3
+	if _, err := s.Recv(); err == nil || !strings.Contains(err.Error(), "stream gap") {
+		t.Fatalf("recv from a cursor on seq 3 at position %d = %v, want a stream gap error", from, err)
+	}
+	if s.pos != from || s.cur != atSeq3 {
+		t.Fatalf("failed recv moved the stream to pos %d cursor %+v, want %d %+v", s.pos, s.cur, from, atSeq3)
+	}
+
+	s.cur = cursor{} // a fresh cursor finds record from+1 again
+	got := recvAll(t, s, len(events)-from)
+	checkContiguous(t, got, from)
+}
+
+// TestStreamSplitReads: reading (0,k] and then (k,n] from the cursor the
+// first read returned yields exactly the events of one (0,n] read, for
+// random splits over a log that rotated several times, for every split on
+// a segment boundary, and for chains whose middle read stops short of
+// records already on disk.
+func TestStreamSplitReads(t *testing.T) {
+	dir := t.TempDir()
+	w, _, err := OpenWAL(WALConfig{Dir: dir, SegmentBytes: 2 << 10, FlushInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	pin, err := w.Stream(0) // keeps compaction from deleting the early segments
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pin.Close()
+	for c := 0; c < 12; c++ {
+		appendAll(t, w, campaignLifecycle(fmt.Sprintf("c%d", c)))
+		if err := w.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := w.LastSeq()
+	segs, _, err := listLog(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(segs) < 3 {
+		t.Fatalf("log has %d segments, want at least 3", len(segs))
+	}
+	whole, _, err := readEventRange(dir, cursor{}, 0, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if uint64(len(whole)) != n {
+		t.Fatalf("(0,%d] read %d events", n, len(whole))
+	}
+	checkContiguous(t, whole, 0)
+
+	// readChain reads (0,n] in pieces ending at each cut, carrying the cursor.
+	readChain := func(cuts ...uint64) []Event {
+		t.Helper()
+		var got []Event
+		var cur cursor
+		from := uint64(0)
+		for _, upto := range append(cuts, n) {
+			events, next, err := readEventRange(dir, cur, from, upto)
+			if err != nil {
+				t.Fatalf("cuts %v: read (%d,%d]: %v", cuts, from, upto, err)
+			}
+			got = append(got, events...)
+			cur, from = next, upto
+		}
+		return got
+	}
+	var splits [][]uint64
+	for _, seg := range segs[1:] {
+		splits = append(splits, []uint64{seg.firstSeq - 1}, []uint64{seg.firstSeq})
+	}
+	rng := rand.New(rand.NewSource(1))
+	for range 50 {
+		a, b := 1+uint64(rng.Int63n(int64(n-1))), 1+uint64(rng.Int63n(int64(n-1)))
+		splits = append(splits, []uint64{a}, []uint64{min(a, b), max(a, b)})
+	}
+	for _, cuts := range splits {
+		got := readChain(cuts...)
+		if len(got) != len(whole) {
+			t.Fatalf("split at %v read %d events, want %d", cuts, len(got), len(whole))
+		}
+		for i := range got {
+			if a, b := mustJSON(t, got[i]), mustJSON(t, whole[i]); a != b {
+				t.Fatalf("split at %v: event %d = %s, want %s", cuts, i, a, b)
+			}
+		}
+	}
+}
+
+// appendN appends the first n events of consecutive campaign lifecycles
+// named prefix0, prefix1, …
+func appendN(tb testing.TB, w *WAL, prefix string, n int) {
+	tb.Helper()
+	for c := 0; n > 0; c++ {
+		for _, ev := range campaignLifecycle(fmt.Sprintf("%s%d", prefix, c)) {
+			if n == 0 {
+				break
+			}
+			if err := w.Append(ev); err != nil {
+				tb.Fatal(err)
+			}
+			n--
+		}
+	}
+}
+
+// caughtUpStream returns a stream that has delivered the first offset
+// events of a one-segment log, with tail more events durable after them,
+// and a rewind that puts the stream back at offset — so every Recv after a
+// rewind is the same steady-state read of the tail batch.
+func caughtUpStream(tb testing.TB, offset, tail int) (w *WAL, s *Stream, rewind func()) {
+	tb.Helper()
+	w, _, err := OpenWAL(WALConfig{Dir: tb.TempDir(), SegmentBytes: 1 << 30, FlushInterval: time.Hour})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { w.Close() })
+	appendN(tb, w, "c", offset)
+	if err := w.Sync(); err != nil {
+		tb.Fatal(err)
+	}
+	if s, err = w.Stream(0); err != nil {
+		tb.Fatal(err)
+	}
+	for delivered := 0; delivered < offset; {
+		events, err := s.Recv()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		delivered += len(events)
+	}
+	w.mu.Lock()
+	caught := *s
+	w.mu.Unlock()
+	appendN(tb, w, "t", tail)
+	if err := w.Sync(); err != nil {
+		tb.Fatal(err)
+	}
+	return w, s, func() {
+		w.mu.Lock()
+		*s = caught
+		w.mu.Unlock()
+	}
+}
+
+// TestStreamRecvCostFlat: a caught-up stream's Recv of the next 16 events
+// allocates about the same at 16k events into the segment as at 1k — it
+// reads the batch, not the segment.
+func TestStreamRecvCostFlat(t *testing.T) {
+	const tail, runs = 16, 20
+	bytesPerRecv := func(offset int) uint64 {
+		_, s, rewind := caughtUpStream(t, offset, tail)
+		defer s.Close()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			rewind()
+			if events, err := s.Recv(); err != nil || len(events) != tail {
+				t.Fatalf("recv at offset %d: %d events, err %v; want %d", offset, len(events), err, tail)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	small, large := bytesPerRecv(1<<10), bytesPerRecv(16<<10)
+	t.Logf("steady Recv of %d events: %d B at 1k events in, %d B at 16k", tail, small, large)
+	if large > 2*small {
+		t.Fatalf("steady Recv allocates %d B at 16k events in, %d B at 1k: want at most 2x", large, small)
+	}
+}
+
 // BenchmarkStreamRecv times one Recv of a short tail batch (the replication
 // steady state: a follower one group commit behind) at growing offsets into
-// one unrotated segment. Recv re-reads and decodes the segment from its
-// start on every call, so ns/op and B/op grow with the offset although the
-// batch it returns stays the same size.
+// one unrotated segment, in two shapes. offset=N opens a fresh stream at N
+// for each Recv, which finds the segment and skips N records by their frame
+// headers before decoding the batch; steady/offset=N rewinds a stream
+// already caught up to N, whose cursor lets Recv read and decode only the
+// batch, so its cost stays flat as N grows.
 func BenchmarkStreamRecv(b *testing.B) {
 	const tail = 16
 	for _, offset := range []int{1 << 10, 8 << 10, 32 << 10} {
@@ -370,17 +573,7 @@ func BenchmarkStreamRecv(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for c, n := 0, 0; n < offset+tail; c++ {
-			for _, ev := range campaignLifecycle(fmt.Sprintf("c%d", c)) {
-				if n == offset+tail {
-					break
-				}
-				if err := w.Append(ev); err != nil {
-					b.Fatal(err)
-				}
-				n++
-			}
-		}
+		appendN(b, w, "c", offset+tail)
 		if err := w.Sync(); err != nil {
 			b.Fatal(err)
 		}
@@ -408,5 +601,22 @@ func BenchmarkStreamRecv(b *testing.B) {
 		if err := w.Close(); err != nil {
 			b.Fatal(err)
 		}
+	}
+	for _, offset := range []int{1 << 10, 8 << 10, 32 << 10} {
+		b.Run(fmt.Sprintf("steady/offset=%dk", offset>>10), func(b *testing.B) {
+			_, s, rewind := caughtUpStream(b, offset, tail)
+			defer s.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				rewind()
+				b.StartTimer()
+				events, err := s.Recv()
+				if err != nil || len(events) != tail {
+					b.Fatalf("recv: %d events, err %v; want %d", len(events), err, tail)
+				}
+			}
+		})
 	}
 }

@@ -579,19 +579,24 @@ func frame(payload []byte) ([]byte, error) {
 // clean end or any tear (short header, absurd length, short payload, CRC
 // mismatch) — the caller truncates at off.
 func readFrame(data []byte, off int64) (payload []byte, next int64, ok bool) {
+	payload, next, ok = frameAt(data, off)
+	if !ok || crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(data[off+4:off+8]) {
+		return nil, off, false
+	}
+	return payload, next, true
+}
+
+// frameAt locates the frame at off by its length header alone, without
+// checking its CRC. ok is false when the header or payload runs past data.
+func frameAt(data []byte, off int64) (payload []byte, next int64, ok bool) {
 	if off+recordHeaderLen > int64(len(data)) {
 		return nil, off, false
 	}
 	n := int64(binary.LittleEndian.Uint32(data[off : off+4]))
-	crc := binary.LittleEndian.Uint32(data[off+4 : off+8])
 	if n > maxRecordBytes || off+recordHeaderLen+n > int64(len(data)) {
 		return nil, off, false
 	}
-	payload = data[off+recordHeaderLen : off+recordHeaderLen+n]
-	if crc32.ChecksumIEEE(payload) != crc {
-		return nil, off, false
-	}
-	return payload, off + recordHeaderLen + n, true
+	return data[off+recordHeaderLen : off+recordHeaderLen+n], off + recordHeaderLen + n, true
 }
 
 // decodeSegment parses framed event records from data, returning the events
@@ -619,12 +624,10 @@ func readSegmentFile(path string) (events []Event, validLen, fileLen int64, err 
 	if err != nil {
 		return nil, 0, 0, fmt.Errorf("store: %w", err)
 	}
-	events, validLen, derr := decodeSegment(data)
-	if derr != nil {
-		// A CRC-valid but undecodable record: treat as a tear at that point
-		// rather than refusing to open — the prefix is still good.
-		return events, validLen, int64(len(data)), nil
-	}
+	// A CRC-valid but undecodable record ends the valid prefix like a tear
+	// rather than refusing to open — the prefix is still good — so the
+	// decode error itself is dropped.
+	events, validLen, _ = decodeSegment(data)
 	return events, validLen, int64(len(data)), nil
 }
 

@@ -3,8 +3,9 @@
 # gofmt, vet, build, no orphan internal package, the full test suite (which
 # also pins the walkthroughs' output in example_test.go and every paper
 # figure against cmd/benchfig/testdata/figures.golden, TestFiguresGolden;
-# `make figures` regenerates that golden), then
-# the Makefile's gate targets: race-enabled tests of every
+# `make figures` regenerates that golden; and holds a caught-up WAL
+# stream's Recv to the same cost at any offset, TestStreamRecvCostFlat),
+# then the Makefile's gate targets: race-enabled tests of every
 # concurrency-bearing package (`make race`), a seed-corpus pass of the
 # fuzz targets, a one-iteration smoke run of every micro-benchmark package
 # (`make bench`; it exercises the optimized-vs-reference solver pairs end
