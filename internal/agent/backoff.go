@@ -135,11 +135,14 @@ func RunWithBackoff(ctx context.Context, cfg Config, b Backoff) (Result, error) 
 // exhaustion return the zero result.
 func retry[R any](ctx context.Context, b Backoff, ep endpoint, run func(attempt int) (R, bool, error)) (R, error) {
 	var zero R
-	rng := stats.NewRand(ep.seed ^ int64(ep.user))
+	var rng *rand.Rand // jitter source, seeded at the first backoff: most calls never retry
 	var lastErr error
 	streak := 0 // consecutive failures since the platform last answered
 	for attempt := 0; attempt < b.attempts(); attempt++ {
 		if attempt > 0 {
+			if rng == nil {
+				rng = stats.NewRand(ep.seed ^ int64(ep.user))
+			}
 			d := b.delay(streak-1, rng)
 			// The redial span covers the backoff wait, carrying why the
 			// previous attempt failed and how long the retry was delayed.

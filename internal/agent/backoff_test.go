@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"net"
+	"slices"
 	"testing"
 	"time"
 
@@ -80,6 +81,34 @@ func TestBackoffDelayBoundedWithJitter(t *testing.T) {
 		if d < exp/2 || d > exp {
 			t.Errorf("delay(%d) = %v outside [%v, %v]", n, d, exp/2, exp)
 		}
+	}
+}
+
+// TestRetryJitterSchedulePinned pins the delays of one seeded retry
+// schedule. The jitter RNG is seeded from the endpoint's seed and user, so
+// an agent backs off by the same delays on every run; the literals below
+// were drawn from that seed and must not move.
+func TestRetryJitterSchedulePinned(t *testing.T) {
+	ring := span.NewRing(16)
+	ep := endpoint{who: "agent 7", user: 7, seed: 42, spans: span.New(ring)}
+	b := Backoff{Attempts: 6, Base: time.Millisecond, Max: 4 * time.Millisecond}
+	// Attempt 3 gets as far as registering, so attempt 4's delay restarts
+	// from Base.
+	_, err := retry(context.Background(), b, ep, func(attempt int) (struct{}, bool, error) {
+		return struct{}{}, attempt == 3, ErrDial
+	})
+	if !errors.Is(err, ErrDial) {
+		t.Fatalf("retry err = %v, want exhausted ErrDial", err)
+	}
+	var got []int64
+	for _, rec := range ring.Recent(16) {
+		if rec.Name == span.NameAgentRedial {
+			got = append(got, rec.Attrs.Get("delay_ns").(int64))
+		}
+	}
+	want := []int64{637261, 1085670, 3731970, 890553, 1081334}
+	if !slices.Equal(got, want) {
+		t.Fatalf("redial delays = %v, want %v", got, want)
 	}
 }
 

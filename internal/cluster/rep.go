@@ -164,10 +164,26 @@ func DecodeRep(data []byte) (*RepMsg, int, error) {
 }
 
 // repConn reads and writes framed messages on a stream.
+//
+// Reads land in the spare capacity of one buffer per connection; buf[off:]
+// holds the received bytes not yet decoded. The buffer starts at
+// repReadSize and grows only while a frame does not fit. Decoded messages
+// never alias it (DecodeRep's json.Unmarshal copies every string and slice
+// out of its input), so the buffer is reused as soon as a frame is decoded.
 type repConn struct {
 	rw  io.ReadWriter
 	buf []byte
+	off int
 }
+
+const (
+	// repReadSize is a repConn's first read buffer: room for acks, hellos
+	// and a typical events batch.
+	repReadSize = 4 << 10
+	// repKeepBytes caps the buffer a drained repConn keeps: one grown for a
+	// snapshot is dropped rather than held for the session's small frames.
+	repKeepBytes = 1 << 20
+)
 
 func newRepConn(rw io.ReadWriter) *repConn {
 	return &repConn{rw: rw}
@@ -188,23 +204,46 @@ func (c *repConn) write(m *RepMsg) error {
 // read receives one message, buffering partial frames across reads.
 func (c *repConn) read() (*RepMsg, error) {
 	for {
-		if m, n, err := DecodeRep(c.buf); err == nil {
-			c.buf = c.buf[n:]
+		if m, n, err := DecodeRep(c.buf[c.off:]); err == nil {
+			c.off += n
+			if c.off == len(c.buf) { // drained: the next frame starts at the front
+				c.buf, c.off = c.buf[:0], 0
+				if cap(c.buf) > repKeepBytes {
+					c.buf = nil
+				}
+			}
 			return m, nil
 		} else if err != io.ErrUnexpectedEOF {
 			return nil, err
 		}
-		chunk := make([]byte, 32<<10)
-		n, err := c.rw.Read(chunk)
+		if len(c.buf) == cap(c.buf) {
+			c.makeRoom()
+		}
+		n, err := c.rw.Read(c.buf[len(c.buf):cap(c.buf)])
+		c.buf = c.buf[:len(c.buf)+n]
 		if n > 0 {
-			c.buf = append(c.buf, chunk[:n]...)
 			continue
 		}
 		if err != nil {
-			if err == io.EOF && len(c.buf) > 0 {
+			if err == io.EOF && len(c.buf) > c.off {
 				return nil, io.ErrUnexpectedEOF
 			}
 			return nil, err
 		}
 	}
+}
+
+// makeRoom frees space past the buffered bytes for the next Read: it moves
+// a partial frame to the front of the buffer, or, when the partial frame
+// already starts there, doubles the buffer. Growth thus follows the bytes
+// received, never the length a frame header claims.
+func (c *repConn) makeRoom() {
+	pending := c.buf[c.off:]
+	if c.off > 0 {
+		c.buf, c.off = c.buf[:copy(c.buf, pending)], 0
+		return
+	}
+	grown := make([]byte, len(pending), max(2*cap(c.buf), repReadSize))
+	copy(grown, pending)
+	c.buf = grown
 }

@@ -240,7 +240,7 @@ func replyTrace(reply []byte, binarySession bool) *wire.TraceContext {
 // envelope, resolve its shard, find a live member, splice. Error envelopes
 // the router originates are always JSON lines — both codecs surface those.
 func (r *Router) serve(client net.Conn) {
-	cr := bufio.NewReaderSize(client, 64<<10)
+	cr := bufio.NewReader(client)
 	sess, err := r.readFirst(cr)
 	if err != nil {
 		if errors.Is(err, errMalformed) {
@@ -288,7 +288,7 @@ func (r *Router) serve(client net.Conn) {
 		// the engine answers register with tasks at once, so the first reply
 		// shares the dial's bound, and a silent member is skipped.
 		_ = backend.SetReadDeadline(time.Now().Add(r.cfg.dialTimeout()))
-		br := bufio.NewReaderSize(backend, 64<<10)
+		br := bufio.NewReader(backend)
 		reply, err := readReplyFrame(br, sess.binary)
 		if err != nil {
 			backend.Close()
@@ -336,7 +336,9 @@ func (r *Router) serve(client net.Conn) {
 
 // splice pumps bytes both ways until either side closes. The bufio readers
 // may hold bytes beyond the first envelope; copying from them first drains
-// that buffer.
+// that buffer, after which bufio.Reader.WriteTo copies conn to conn without
+// touching it (on Linux by splice(2)), so the readers' default size bounds
+// only the first envelope's read-ahead, not the splice's throughput.
 func (r *Router) splice(client net.Conn, cr *bufio.Reader, backend net.Conn, br *bufio.Reader) {
 	defer backend.Close()
 	done := make(chan struct{}, 2)

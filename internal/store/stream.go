@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -139,16 +140,17 @@ func (s *Stream) Close() {
 // segments under dir and returns them with the cursor just past the last
 // one (the cursor it was given when there are none). at locates record
 // fromSeq+1; when it is unset, the read starts at the segment that holds
-// that record and skips the records before it by their frame headers,
-// without decoding them. Seqs are contiguous within and across segments
-// (Append numbers w.seq+1, a segment is named for its first record,
-// recovery appends after the last valid one), so the read counts its way
-// to each record and moves on to the segment named for the next seq when
-// one ends. A decoded record whose seq is not the one counted to is a
-// "stream gap" error. Frames past upto are never decoded: the flusher
-// writes a batch before it advances the durable seq. Retention pins
-// guarantee the segments outlive the read (see compact); a segment already
-// compacted away when the cursor reaches its end has nothing left to read.
+// that record and skips the records before it by their frame headers
+// (skipRecords), without reading or decoding their payloads. Seqs are
+// contiguous within and across segments (Append numbers w.seq+1, a
+// segment is named for its first record, recovery appends after the last
+// valid one), so the read counts its way to each record and moves on to
+// the segment named for the next seq when one ends. A decoded record whose
+// seq is not the one counted to is a "stream gap" error. Frames past upto
+// are never decoded: the flusher writes a batch before it advances the
+// durable seq. Retention pins guarantee the segments outlive the read (see
+// compact); a segment already compacted away when the cursor reaches its
+// end has nothing left to read.
 func readEventRange(dir string, at cursor, fromSeq, upto uint64) ([]Event, cursor, error) {
 	cur := at
 	next := fromSeq + 1 // seq of the next event to return
@@ -167,22 +169,22 @@ func readEventRange(dir string, at cursor, fromSeq, upto uint64) ([]Event, curso
 	}
 	var out []Event
 	for next <= upto {
-		data, err := readFileFrom(filepath.Join(dir, segmentName(cur.seg)), cur.off)
+		path := filepath.Join(dir, segmentName(cur.seg))
+		if seq < next { // skipping to the first wanted record
+			var err error
+			if cur.off, seq, err = skipRecords(path, cur.off, seq, next); err != nil {
+				return nil, at, err
+			}
+		}
+		data, err := readFileFrom(path, cur.off)
 		if err != nil {
 			return nil, at, err
 		}
 		var off int64
-		for next <= upto {
-			payload, end, ok := frameAt(data, off)
-			if ok && seq == next {
-				payload, end, ok = readFrame(data, off) // CRC-check what is decoded
-			}
+		for next <= upto && seq == next {
+			payload, end, ok := readFrame(data, off)
 			if !ok {
 				break
-			}
-			if seq < next { // skipping to the first wanted record
-				off, seq = end, seq+1
-				continue
 			}
 			var ev Event
 			if err := json.Unmarshal(payload, &ev); err != nil {
@@ -210,6 +212,53 @@ func readEventRange(dir string, at cursor, fromSeq, upto uint64) ([]Event, curso
 		return nil, at, nil
 	}
 	return out, cur, nil
+}
+
+// skipWindow is how many bytes of a segment skipRecords reads at a time.
+// 64 KiB is the largest constant-size buffer the compiler keeps on the
+// stack, so the walk allocates nothing on the heap.
+const skipWindow = 64 << 10
+
+// skipRecords walks the frame headers of the segment at path from off,
+// where record seq starts, and returns the offset and seq of record next,
+// or of the first frame that is torn or runs past the file's end if that
+// comes first. It reads the segment through one fixed window and never
+// looks at a payload, so a fresh stream holds the window, not the bytes
+// it skips. A missing file has no records to skip.
+func skipRecords(path string, off int64, seq, next uint64) (int64, uint64, error) {
+	f, err := os.Open(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return off, seq, nil
+	}
+	if err != nil {
+		return off, seq, fmt.Errorf("store: %w", err)
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return off, seq, fmt.Errorf("store: %w", err)
+	}
+	size := fi.Size()
+	window := make([]byte, skipWindow)
+	winOff, winEnd := off, off // window holds the file's bytes [winOff, winEnd)
+	for seq < next && off+recordHeaderLen <= size {
+		if off+recordHeaderLen > winEnd {
+			n, err := f.ReadAt(window, off)
+			if n < recordHeaderLen {
+				if errors.Is(err, io.EOF) {
+					break // the file shrank under the walk
+				}
+				return off, seq, fmt.Errorf("store: %w", err)
+			}
+			winOff, winEnd = off, off+int64(n)
+		}
+		n := int64(binary.LittleEndian.Uint32(window[off-winOff:]))
+		if n > maxRecordBytes || off+recordHeaderLen+n > size {
+			break
+		}
+		off, seq = off+recordHeaderLen+n, seq+1
+	}
+	return off, seq, nil
 }
 
 // readFileFrom returns the bytes of the file at path from off to its

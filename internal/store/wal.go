@@ -579,16 +579,6 @@ func frame(payload []byte) ([]byte, error) {
 // clean end or any tear (short header, absurd length, short payload, CRC
 // mismatch) — the caller truncates at off.
 func readFrame(data []byte, off int64) (payload []byte, next int64, ok bool) {
-	payload, next, ok = frameAt(data, off)
-	if !ok || crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(data[off+4:off+8]) {
-		return nil, off, false
-	}
-	return payload, next, true
-}
-
-// frameAt locates the frame at off by its length header alone, without
-// checking its CRC. ok is false when the header or payload runs past data.
-func frameAt(data []byte, off int64) (payload []byte, next int64, ok bool) {
 	if off+recordHeaderLen > int64(len(data)) {
 		return nil, off, false
 	}
@@ -596,7 +586,11 @@ func frameAt(data []byte, off int64) (payload []byte, next int64, ok bool) {
 	if n > maxRecordBytes || off+recordHeaderLen+n > int64(len(data)) {
 		return nil, off, false
 	}
-	return data[off+recordHeaderLen : off+recordHeaderLen+n], off + recordHeaderLen + n, true
+	payload = data[off+recordHeaderLen : off+recordHeaderLen+n]
+	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(data[off+4:off+8]) {
+		return nil, off, false
+	}
+	return payload, off + recordHeaderLen + n, true
 }
 
 // decodeSegment parses framed event records from data, returning the events

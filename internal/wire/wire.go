@@ -255,6 +255,13 @@ func (e *Envelope) Validate() error {
 // retain Read results' backing memory past the next Read (payload structs
 // are freshly allocated and safe to keep — only internal scratch is
 // reused).
+//
+// Its read and write buffers have bufio's default size (4 KiB): a
+// session's envelopes are small, so a larger buffer would only be
+// allocated and never filled. Bigger messages still pass: readLine
+// reassembles a long JSON line, a binary frame is read with io.ReadFull,
+// and the writer hands a payload larger than its buffer straight to the
+// stream.
 type Codec struct {
 	r      *bufio.Reader
 	w      *bufio.Writer
@@ -267,7 +274,7 @@ type Codec struct {
 // NewCodec wraps a stream with the JSON-lines codec. The caller retains
 // ownership of rw (deadlines, closing).
 func NewCodec(rw io.ReadWriter) *Codec {
-	return &Codec{r: bufio.NewReaderSize(rw, 64<<10), w: bufio.NewWriterSize(rw, 64<<10)}
+	return &Codec{r: bufio.NewReader(rw), w: bufio.NewWriter(rw)}
 }
 
 // NewBinaryCodec wraps a stream with the binary codec, staging the protocol
@@ -275,7 +282,7 @@ func NewCodec(rw io.ReadWriter) *Codec {
 // flush. Used by the connection-opening side (agents, the router's backend
 // legs); servers use NewServerCodec.
 func NewBinaryCodec(rw io.ReadWriter) *Codec {
-	c := &Codec{r: bufio.NewReaderSize(rw, 64<<10), w: bufio.NewWriterSize(rw, 64<<10), binary: true}
+	c := &Codec{r: bufio.NewReader(rw), w: bufio.NewWriter(rw), binary: true}
 	_ = c.w.WriteByte(BinaryVersion)
 	return c
 }
@@ -286,7 +293,7 @@ func NewBinaryCodec(rw io.ReadWriter) *Codec {
 // peer sends its first byte; a stream closed before that returns io.EOF
 // ("truncated version byte").
 func NewServerCodec(rw io.ReadWriter) (*Codec, error) {
-	c := &Codec{r: bufio.NewReaderSize(rw, 64<<10), w: bufio.NewWriterSize(rw, 64<<10)}
+	c := &Codec{r: bufio.NewReader(rw), w: bufio.NewWriter(rw)}
 	first, err := c.r.Peek(1)
 	if err != nil {
 		return nil, err

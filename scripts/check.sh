@@ -3,8 +3,11 @@
 # gofmt, vet, build, no orphan internal package, the full test suite (which
 # also pins the walkthroughs' output in example_test.go and every paper
 # figure against cmd/benchfig/testdata/figures.golden, TestFiguresGolden;
-# `make figures` regenerates that golden; and holds a caught-up WAL
-# stream's Recv to the same cost at any offset, TestStreamRecvCostFlat),
+# `make figures` regenerates that golden; holds a caught-up WAL stream's
+# Recv to the same cost at any offset, TestStreamRecvCostFlat; and holds a
+# loopback cluster round and a replication read to their allocation
+# budgets, TestSessionAllocBudget and TestRepConnReadAllocFlat, which
+# `make race` runs again),
 # then the Makefile's gate targets: race-enabled tests of every
 # concurrency-bearing package (`make race`), a seed-corpus pass of the
 # fuzz targets, a one-iteration smoke run of every micro-benchmark package
