@@ -125,7 +125,9 @@ func TestEngineSpanLifecycle(t *testing.T) {
 	if n := len(byName[span.NameAllocate]); n != 2 {
 		t.Errorf("%d allocation spans, want 2 (one per round)", n)
 	}
-	// Every winner runs one critical-bid search with ~log2(q/tol) DP probes.
+	// Every winner runs one critical-bid search: a probe at the declared
+	// contribution plus one or two certifying the leave-one-out guess, whose
+	// DP subproblem the span names; a refuted guess (fallback) bisects.
 	if len(byName[span.NameCriticalBid]) == 0 {
 		t.Error("no critical-bid spans")
 	}
@@ -133,8 +135,12 @@ func TestEngineSpanLifecycle(t *testing.T) {
 		if parent := byID[cb.Parent]; parent.Name != span.NameWD {
 			t.Errorf("critical-bid parent %q, want wd", parent.Name)
 		}
-		if probes, _ := cb.Attrs.Int("probes"); probes < 10 {
-			t.Errorf("critical-bid probes %d, want a binary search's worth", probes)
+		probes, _ := cb.Attrs.Int("probes")
+		if fallback, _ := cb.Attrs.Int("fallback"); fallback == 0 && (probes < 2 || probes > 3) {
+			t.Errorf("critical-bid probes %d, want 2 or 3 when certified", probes)
+		}
+		if _, ok := cb.Attrs.Int("critical_k"); !ok {
+			t.Error("critical-bid span has no critical_k")
 		}
 	}
 	solves := byName[span.NameKnapsackSolve]

@@ -9,14 +9,18 @@ import (
 
 // TestSolverConcurrentSolves exercises the shape `make race` must cover:
 // one shared Solver probed concurrently from many goroutines (the
-// per-winner critical-bid fan-out), all drawing workspaces from the shared
-// pool.
+// per-winner critical-bid fan-out: leave-one-out passes and probes), all
+// drawing workspaces from the shared pool.
 func TestSolverConcurrentSolves(t *testing.T) {
 	rng := stats.NewRand(35)
 	in := randomInstance(rng, 80)
 	s := NewSolver(in, 0.5)
 
 	want, err := s.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantQ, wantK, err := s.LeaveOneOut(want.Selected[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,6 +45,14 @@ func TestSolverConcurrentSolves(t *testing.T) {
 			i := g % in.N()
 			if _, err := s.SolveWithContribution(i, in.Contribs[i]/2); err != nil && err != ErrInfeasible {
 				errs <- err
+			}
+			q, k, err := s.LeaveOneOut(want.Selected[0])
+			if err != nil {
+				errs <- err
+				return
+			}
+			if q != wantQ || k != wantK {
+				t.Errorf("concurrent LeaveOneOut (%g, %d), want (%g, %d)", q, k, wantQ, wantK)
 			}
 		}(g)
 	}

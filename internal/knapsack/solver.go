@@ -22,13 +22,14 @@ type SolverStats struct {
 }
 
 // Solver runs the paper's Algorithm 2 over one instance, amortizing
-// everything a critical-bid search would otherwise redo on each of its ~30
-// re-solves: the cost sort (costs never change across re-solves, only one
-// user's contribution), instance re-validation, and the DP buffers (pooled
-// Workspaces). On top of the seed algorithm it prunes k-subproblems whose
-// lower bound cannot beat the incumbent best score and truncates DP budgets
-// at the incumbent — both exactness-preserving, so results are identical to
-// SolveFPTASReference (pinned by differential tests).
+// everything a critical-bid search would otherwise redo on each of its
+// probes and leave-one-out passes: the cost sort (costs never change
+// across re-solves, only one user's contribution), instance re-validation,
+// and the DP buffers (pooled Workspaces). On top of the seed algorithm it
+// prunes k-subproblems whose lower bound cannot beat the incumbent best
+// score and truncates DP budgets at the incumbent — both
+// exactness-preserving, so results are identical to SolveFPTASReference
+// (pinned by differential tests).
 //
 // Every solve is serial: it scans the k-subproblems in ascending k on the
 // calling goroutine, so its selection and its work gauges (Cells, Pruned)
@@ -119,11 +120,48 @@ type fptasRun struct {
 }
 
 func (s *Solver) solve(override int, q float64) (Solution, error) {
-	n := s.in.N()
 	s.solves.Add(1)
+	if !s.feasible(override, q) {
+		return Solution{}, ErrInfeasible
+	}
+	ws, reused := s.checkout()
+	defer putWorkspace(ws)
+	r := s.scan(override, q, ws)
+	if r.bestSel == nil {
+		return Solution{}, ErrInfeasible
+	}
 
-	// Feasibility, summed in original index order exactly as the reference's
-	// Instance.Feasible does, so borderline instances agree bit-for-bit.
+	// Map back to original user indices.
+	selected := make([]int, len(r.bestSel))
+	for i, rank := range r.bestSel {
+		selected[i] = s.order[rank]
+	}
+	sort.Ints(selected)
+	return Solution{
+		Selected: selected,
+		Cost:     s.in.Cost(selected),
+		Cells:    r.cells,
+		Pruned:   r.pruned,
+		Reused:   reused,
+	}, nil
+}
+
+// checkout takes a workspace from the pool for one solver call and reports
+// the pool hit (1) or miss (0) as the call's DP-reuse gauge.
+func (s *Solver) checkout() (*Workspace, int64) {
+	ws, hit := getWorkspace()
+	if !hit {
+		return ws, 0
+	}
+	s.wsHits.Add(1)
+	return ws, 1
+}
+
+// feasible reports whether everyone together covers the requirement with
+// user override's contribution replaced by q (override < 0: as declared).
+// It sums in original index order exactly as the reference's
+// Instance.Feasible does, so borderline instances agree bit-for-bit.
+func (s *Solver) feasible(override int, q float64) bool {
 	total := 0.0
 	for idx, qi := range s.in.Contribs {
 		if idx == override {
@@ -131,18 +169,16 @@ func (s *Solver) solve(override int, q float64) (Solution, error) {
 		}
 		total += qi
 	}
-	if total < s.in.Require-FeasibilityTol {
-		return Solution{}, ErrInfeasible
-	}
+	return total >= s.in.Require-FeasibilityTol
+}
 
-	ws, hit := getWorkspace()
-	defer putWorkspace(ws)
-	var reused int64
-	if hit {
-		reused = 1
-		s.wsHits.Add(1)
-	}
-	r := &fptasRun{s: s, contribs: s.baseContribs, lbPrune: true, bestScore: math.Inf(1)}
+// scan runs Algorithm 2's subproblem loop on a feasible view, user
+// override's contribution replaced by q (override < 0: as declared), and
+// returns the finished run: its best score and selection (nil when no
+// subproblem covers the requirement) and its work gauges.
+func (s *Solver) scan(override int, q float64, ws *Workspace) fptasRun {
+	n := s.in.N()
+	r := fptasRun{s: s, contribs: s.baseContribs, lbPrune: true, bestScore: math.Inf(1)}
 	if override >= 0 {
 		ws.contribs = growFloats(ws.contribs, n)
 		copy(ws.contribs, s.baseContribs)
@@ -165,23 +201,7 @@ func (s *Solver) solve(override int, q float64) (Solution, error) {
 	}
 
 	s.pruned.Add(r.pruned)
-	if r.bestSel == nil {
-		return Solution{}, ErrInfeasible
-	}
-
-	// Map back to original user indices.
-	selected := make([]int, len(r.bestSel))
-	for i, rank := range r.bestSel {
-		selected[i] = s.order[rank]
-	}
-	sort.Ints(selected)
-	return Solution{
-		Selected: selected,
-		Cost:     s.in.Cost(selected),
-		Cells:    r.cells,
-		Pruned:   r.pruned,
-		Reused:   reused,
-	}, nil
+	return r
 }
 
 // runK solves subproblem k (the k cheapest users) on the given workspace and

@@ -74,31 +74,31 @@ func growWords(buf []uint64, n int) []uint64 {
 	return buf
 }
 
-// solveScaled solves one scaled subproblem exactly over the workspace's
-// buffers: among subsets of the k users (integer scaled costs, float
-// contributions) whose total contribution reaches require, find one
-// minimizing total scaled cost, considering only states with scaled cost
-// ≤ budget. The caller caps budget below the natural Σ scaled bound when an
-// incumbent proves costlier states cannot win (see Solver); the DP recursion
-// only ever reads cheaper states, so truncation is exact for every state it
-// does compute. It returns the selection (indices into the subproblem,
-// aliasing w.sel), the minimum scaled cost, and whether a feasible subset
-// exists within the budget.
-func (w *Workspace) solveScaled(scaledCosts []int, contribs []float64, require float64, budget int) ([]int, int, bool) {
-	k := len(scaledCosts)
-	words := budget>>6 + 1
-
-	dp := growFloats(w.dp, budget+1)
+// exactCost fills w.dp over [0, budget] with the 0/1-knapsack table of the
+// given items: dp[c] is the most contribution any subset reaches at scaled
+// cost exactly c (−Inf when none does). Items are added in slice order and
+// a state changes only on a strictly larger contribution, so among equal
+// contributions the earliest subset keeps the state. With track it also
+// fills w.take with one packed row per item (bit c: the item improved state
+// c), which backtracking reads; words is the row length. Without track
+// every item writes one scratch row, keeping the inner loop branch-free.
+func (w *Workspace) exactCost(scaledCosts []int, contribs []float64, budget int, track bool) (dp []float64, take []uint64, words int) {
+	words = budget>>6 + 1
+	dp = growFloats(w.dp, budget+1)
 	w.dp = dp
 	for i := range dp {
 		dp[i] = math.Inf(-1)
 	}
 	dp[0] = 0
-	take := growWords(w.take, k*words)
+	rows := 1
+	if track {
+		rows = len(scaledCosts)
+	}
+	take = growWords(w.take, rows*words)
 	w.take = take
 
 	for j, cost := range scaledCosts {
-		row := take[j*words : (j+1)*words]
+		row := take[j%rows*words : (j%rows+1)*words]
 		if cost == 0 {
 			// Zero scaled cost: the item adds contribution for free in the
 			// scaled domain; taking it weakly dominates at every state.
@@ -122,6 +122,25 @@ func (w *Workspace) solveScaled(scaledCosts []int, contribs []float64, require f
 			}
 		}
 	}
+	if !track {
+		take = nil
+	}
+	return dp, take, words
+}
+
+// solveScaled solves one scaled subproblem exactly over the workspace's
+// buffers: among subsets of the k users (integer scaled costs, float
+// contributions) whose total contribution reaches require, find one
+// minimizing total scaled cost, considering only states with scaled cost
+// ≤ budget. The caller caps budget below the natural Σ scaled bound when an
+// incumbent proves costlier states cannot win (see Solver); the DP recursion
+// only ever reads cheaper states, so truncation is exact for every state it
+// does compute. It returns the selection (indices into the subproblem,
+// aliasing w.sel), the minimum scaled cost, and whether a feasible subset
+// exists within the budget.
+func (w *Workspace) solveScaled(scaledCosts []int, contribs []float64, require float64, budget int) ([]int, int, bool) {
+	k := len(scaledCosts)
+	dp, take, words := w.exactCost(scaledCosts, contribs, budget, true)
 
 	// dp[c] holds "max contribution at scaled cost exactly c", so the answer
 	// is the first cost index whose contribution meets the requirement.

@@ -15,8 +15,8 @@ import (
 // referenceKnapsack is the retained seed solver for SingleTask.run: every
 // solve, allocation and probe alike, rebuilds the instance and runs
 // knapsack.SolveFPTASReference.
-func referenceKnapsack(eps float64) func(*knapsack.Instance) knapsackSolve {
-	return func(in *knapsack.Instance) knapsackSolve {
+func referenceKnapsack(eps float64) func(*knapsack.Instance) (knapsackSolve, criticalGuess) {
+	return func(in *knapsack.Instance) (knapsackSolve, criticalGuess) {
 		return func(_ *span.Span, i int, q float64) (knapsack.Solution, error) {
 			if i < 0 {
 				return knapsack.SolveFPTASReference(in, eps)
@@ -26,7 +26,7 @@ func referenceKnapsack(eps float64) func(*knapsack.Instance) knapsackSolve {
 				return knapsack.Solution{}, err
 			}
 			return knapsack.SolveFPTASReference(mod, eps)
-		}
+		}, nil
 	}
 }
 

@@ -2,8 +2,9 @@
 // mechanisms for mobile crowdsensing with execution uncertainty:
 //
 //   - SingleTask (§III-B): FPTAS winner determination for minimum knapsack
-//     (Algorithm 2) with a binary-search critical bid and execution-
-//     contingent reward (Algorithm 3);
+//     (Algorithm 2) with a critical bid (Algorithm 3's binary-search value,
+//     from a leave-one-out closed form certified by two probes) and
+//     execution-contingent reward;
 //   - MultiTask (§III-C): greedy submodular set-cover winner determination
 //     (Algorithm 4) with a min-over-iterations critical bid and execution-
 //     contingent reward (Algorithm 5);
@@ -198,7 +199,8 @@ func ecAward(bidIndex int, bid auction.Bid, criticalQ, declaredTotalQ, alpha flo
 // inside a mechanism run, as the solvers are serial. Each search runs under
 // its own wd.critical_bid span under trace, which ends with the search's
 // work count (attribute work) and critical_q, or with the error. critical
-// returns the winner's critical contribution and work count; declared
+// returns the winner's critical contribution and work count, and may Set
+// attributes of its own on the span (SingleTask's critical_k); declared
 // returns the bid's declared contribution the award is priced against. The
 // first error wins.
 func priceWinners(trace *span.Span, a *auction.Auction, out *Outcome, work string,
@@ -241,11 +243,18 @@ func priceWinners(trace *span.Span, a *auction.Auction, out *Outcome, work strin
 // tol wide and returns its winning end; an error from wins aborts the
 // search and is returned.
 func bisect(lo, hi, tol float64, wins func(x float64) (bool, error)) (float64, error) {
+	_, hi, err := bracket(lo, hi, tol, wins)
+	return hi, err
+}
+
+// bracket is bisect returning the final bracket: its losing and winning
+// ends.
+func bracket(lo, hi, tol float64, wins func(x float64) (bool, error)) (float64, float64, error) {
 	for hi-lo > tol {
 		mid := (lo + hi) / 2
 		w, err := wins(mid)
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 		if w {
 			hi = mid
@@ -253,7 +262,7 @@ func bisect(lo, hi, tol float64, wins func(x float64) (bool, error)) (float64, e
 			lo = mid
 		}
 	}
-	return hi, nil
+	return lo, hi, nil
 }
 
 // requireAlpha normalizes a reward scale.

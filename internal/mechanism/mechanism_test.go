@@ -72,8 +72,8 @@ func TestBisect(t *testing.T) {
 					*calls++
 					return knapsack.Solution{Selected: []int{1}, Cost: 2}, nil
 				}
-				q, _, err := criticalContribution(nil, other, in, 0)
-				return q, err
+				cb, err := criticalContribution(nil, other, nil, in, 0)
+				return cb.q, err
 			},
 			wantCalls: 1,
 			wantErr:   "winner 0 does not win at declared contribution",

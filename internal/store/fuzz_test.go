@@ -17,7 +17,7 @@ func FuzzWALDecode(f *testing.F) {
 		{Seq: 3, Type: EventBidAdmitted, Campaign: "c", Round: 1, Bid: testBid(1)},
 	}
 	for _, ev := range seed {
-		rec, err := encodeRecord(ev)
+		rec, err := appendRecord(nil, ev)
 		if err != nil {
 			f.Fatal(err)
 		}

@@ -105,6 +105,7 @@ type WAL struct {
 	file     *os.File   // active segment
 	size     int64      // bytes written to the active segment
 	buf      []byte     // encoded records awaiting flush
+	spare    []byte     // the last flushed buffer, emptied: buf's next backing
 	seq      uint64     // last assigned seq
 	bufSeq   uint64     // last seq encoded into buf
 	durable  uint64     // last seq fsynced
@@ -177,7 +178,7 @@ func (w *WAL) Append(ev Event) error {
 	if err := Apply(w.state, ev); err != nil {
 		return err // event/state mismatch: reject before it pollutes the log
 	}
-	rec, err := encodeRecord(ev)
+	buf, err := appendRecord(w.buf, ev)
 	if err != nil {
 		w.state = nil // state advanced past the log; force rebuild on next open
 		w.err = err
@@ -185,9 +186,9 @@ func (w *WAL) Append(ev Event) error {
 	}
 	w.seq = ev.Seq
 	w.bufSeq = ev.Seq
-	w.buf = append(w.buf, rec...)
 	w.stats.appends.Add(1)
-	w.stats.bytes.Add(int64(len(rec)))
+	w.stats.bytes.Add(int64(len(buf) - len(w.buf)))
+	w.buf = buf
 	return nil
 }
 
@@ -310,8 +311,10 @@ func (w *WAL) flushOnce() {
 		w.mu.Unlock()
 		return
 	}
+	// The flusher owns pending until it hands it back as the spare, so
+	// appends alternate between two buffers instead of regrowing one.
 	pending := w.buf
-	w.buf = nil
+	w.buf, w.spare = w.spare[:0], nil
 	target := w.bufSeq
 	rotate := w.size+int64(len(pending)) >= w.cfg.segmentBytes()
 	var snapJSON []byte
@@ -342,6 +345,7 @@ func (w *WAL) flushOnce() {
 	w.stats.observeFsync(time.Since(start))
 
 	w.mu.Lock()
+	w.spare = pending[:0]
 	w.size += int64(len(pending))
 	if target > w.durable {
 		w.durable = target
@@ -554,25 +558,30 @@ func (w *WAL) recover() error {
 
 // --- record framing ---
 
-// encodeRecord frames one event.
-func encodeRecord(ev Event) ([]byte, error) {
+// appendRecord appends one event's framed record to dst. On error dst is
+// returned unchanged.
+func appendRecord(dst []byte, ev Event) ([]byte, error) {
 	payload, err := json.Marshal(&ev)
 	if err != nil {
-		return nil, fmt.Errorf("store: marshal event seq %d: %w", ev.Seq, err)
+		return dst, fmt.Errorf("store: marshal event seq %d: %w", ev.Seq, err)
 	}
-	return frame(payload)
+	return appendFrame(dst, payload)
 }
 
 // frame prefixes a payload with its length and CRC32.
 func frame(payload []byte) ([]byte, error) {
+	return appendFrame(make([]byte, 0, recordHeaderLen+len(payload)), payload)
+}
+
+// appendFrame appends a payload, prefixed with its length and CRC32, to
+// dst. On error dst is returned unchanged.
+func appendFrame(dst, payload []byte) ([]byte, error) {
 	if len(payload) > maxRecordBytes {
-		return nil, ErrRecordTooLarge
+		return dst, ErrRecordTooLarge
 	}
-	out := make([]byte, recordHeaderLen+len(payload))
-	binary.LittleEndian.PutUint32(out[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(out[4:8], crc32.ChecksumIEEE(payload))
-	copy(out[recordHeaderLen:], payload)
-	return out, nil
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
+	return append(dst, payload...), nil
 }
 
 // readFrame reads one framed payload from data at off. ok is false at a

@@ -278,7 +278,7 @@ func TestWALMidLogTearDropsLaterSegments(t *testing.T) {
 	ev3 := Event{Seq: 3, Type: EventBidAdmitted, Campaign: "c", Round: 1, Bid: testBid(1)}
 	var seg1 []byte
 	for _, ev := range []Event{ev1, ev2} {
-		rec, err := encodeRecord(ev)
+		rec, err := appendRecord(nil, ev)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -288,7 +288,7 @@ func TestWALMidLogTearDropsLaterSegments(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, segmentName(1)), seg1, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	rec3, err := encodeRecord(ev3)
+	rec3, err := appendRecord(nil, ev3)
 	if err != nil {
 		t.Fatal(err)
 	}

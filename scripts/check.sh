@@ -7,7 +7,11 @@
 # Recv to the same cost at any offset, TestStreamRecvCostFlat; and holds a
 # loopback cluster round and a replication read to their allocation
 # budgets, TestSessionAllocBudget and TestRepConnReadAllocFlat, which
-# `make race` runs again),
+# `make race` runs again; pins the certified single-task critical bid to
+# the plain bisection bit for bit with no fallback,
+# TestSingleTaskCertifiedMatchesBisect, also under `make race`; and holds
+# every Fig. 5a winner to three solver probes,
+# TestSingleTaskCriticalBidProbeBudget),
 # then the Makefile's gate targets: race-enabled tests of every
 # concurrency-bearing package (`make race`), a seed-corpus pass of the
 # fuzz targets, a one-iteration smoke run of every micro-benchmark package
