@@ -171,13 +171,14 @@ wd-fanout:
 # per family name, merge both shards' spans in end order, and keep
 # liveness free of the audit status; a platformd cluster node must serve
 # the standalone endpoint set (/debug/rounds, /debug/spans, liveness
-# /healthz). The shard label is applied in one place, the cluster node:
+# /healthz), and so must a standalone platformd, unlabelled. The shard
+# label is applied in one place, the cluster node:
 # fails if a non-test Go file outside internal/cluster contains
 # `Name: "shard"`.
 .PHONY: ops-surface
 ops-surface:
 	$(GO) test -race -run TestNodeMetricsAfterPromotion ./internal/cluster
-	$(GO) test -race -run TestClusterNodeOpsSurface ./cmd/platformd
+	$(GO) test -race -run 'TestClusterNodeOpsSurface|TestStandaloneOpsSurface' ./cmd/platformd
 	@if grep -rn --include='*.go' --exclude='*_test.go' 'Name: "shard"' . | grep -v '^\./internal/cluster/'; then \
 		echo "ops-surface: label per-shard families in internal/cluster (obs.WithLabel) instead" >&2; exit 1; \
 	fi

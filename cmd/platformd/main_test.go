@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -259,4 +260,97 @@ func TestClusterNodeOpsSurface(t *testing.T) {
 
 	cancel()
 	waitExit(t, done)
+}
+
+// TestStandaloneOpsSurface runs platformd outside cluster mode with a WAL,
+// the reputation loop, an SLO no round can meet (1ns) and -metrics-addr,
+// and plays round 1 of two: /metrics carries the engine, WAL, audit and
+// reputation families without a shard label, /debug/audit and
+// /debug/reputation each hold one unstamped report, /debug/rounds holds the
+// round, and the breached SLO degrades /readyz to 503 while /healthz stays
+// 200.
+func TestStandaloneOpsSurface(t *testing.T) {
+	addr, metrics := freeAddr(t), freeAddr(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		done <- run(ctx, []string{"-addr", addr, "-state-dir", t.TempDir(), "-tasks", "1",
+			"-requirement", "0.3", "-bidders", "2", "-rounds", "2", "-reputation",
+			"-slo-p99", "round=1ns", "-metrics-addr", metrics, "-log-level", "warn"})
+	}()
+	playAgents(t, addr, "")
+
+	get := func(path string) (int, []byte) {
+		t.Helper()
+		resp, err := http.Get("http://" + metrics + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		return resp.StatusCode, body
+	}
+	getJSON := func(path string, v any) int {
+		t.Helper()
+		code, body := get(path)
+		if err := json.Unmarshal(body, v); err != nil {
+			t.Fatalf("GET %s: status %d, bad JSON: %v", path, code, err)
+		}
+		return code
+	}
+
+	code, body := get("/metrics")
+	if code != http.StatusOK {
+		t.Errorf("/metrics answered %d", code)
+	}
+	for _, fam := range []string{"crowdsense_bids_accepted_total", "crowdsense_wal_appends_total",
+		"crowdsense_audit_rounds_checked_total", "crowdsense_reputation_tracked_users"} {
+		if !strings.Contains(string(body), "\n"+fam) {
+			t.Errorf("/metrics lacks %s", fam)
+		}
+	}
+	if strings.Contains(string(body), `shard="`) {
+		t.Errorf("standalone /metrics carries a shard label")
+	}
+
+	var audits []obs.AuditReport
+	if code := getJSON("/debug/audit", &audits); code != http.StatusOK || len(audits) != 1 || audits[0].Shard != "" {
+		t.Errorf("/debug/audit answered %d with %+v, want one report without a shard", code, audits)
+	}
+	var reps []obs.ReputationReport
+	if code := getJSON("/debug/reputation", &reps); code != http.StatusOK || len(reps) != 1 || reps[0].Shard != "" {
+		t.Errorf("/debug/reputation answered %d with %+v, want one report without a shard", code, reps)
+	}
+	var rounds []span.Record
+	getJSON("/debug/rounds", &rounds)
+	found := false
+	for _, r := range rounds {
+		found = found || (r.Name == span.NameRound && r.Campaign == "default" && r.Round == 1)
+	}
+	if !found {
+		t.Errorf("/debug/rounds holds no round record for default round 1: %+v", rounds)
+	}
+	var ready obs.Readiness
+	if code := getJSON("/readyz", &ready); code != http.StatusServiceUnavailable || ready.Health.Status != obs.StatusDegraded {
+		t.Errorf("/readyz answered %d %q, want 503 %q from the breached SLO", code, ready.Health.Status, obs.StatusDegraded)
+	}
+	var health obs.Health
+	if code := getJSON("/healthz", &health); code != http.StatusOK {
+		t.Errorf("/healthz answered %d %q, want 200", code, health.Status)
+	}
+
+	// Round 2 never fills, so serving ends with the cancellation.
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil && !errors.Is(err, context.Canceled) {
+			t.Fatalf("platformd: %v", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("platformd did not exit after cancellation")
+	}
 }
