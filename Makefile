@@ -171,14 +171,20 @@ wd-fanout:
 # per family name, merge both shards' spans in end order, and keep
 # liveness free of the audit status; a platformd cluster node must serve
 # the standalone endpoint set (/debug/rounds, /debug/spans, liveness
-# /healthz), and so must a standalone platformd, unlabelled. The shard
-# label is applied in one place, the cluster node:
-# fails if a non-test Go file outside internal/cluster contains
-# `Name: "shard"`.
+# /healthz), and so must a standalone platformd, unlabelled, which answers
+# "recovering" until its shard serves. The shard label is applied in one
+# place, the cluster node: fails if a non-test Go file outside
+# internal/cluster contains `Name: "shard"`. A serving shard is assembled
+# in one place, cluster.BuildShard: fails if a non-test Go file outside
+# internal/cluster recovers a state directory (`platform.Recover`) or binds
+# an auditor's spans (`.SetSpans(`).
 .PHONY: ops-surface
 ops-surface:
 	$(GO) test -race -run TestNodeMetricsAfterPromotion ./internal/cluster
-	$(GO) test -race -run 'TestClusterNodeOpsSurface|TestStandaloneOpsSurface' ./cmd/platformd
+	$(GO) test -race -run 'TestClusterNodeOpsSurface|TestStandaloneOpsSurface|TestOpsStateRecoveringWindow' ./cmd/platformd
 	@if grep -rn --include='*.go' --exclude='*_test.go' 'Name: "shard"' . | grep -v '^\./internal/cluster/'; then \
 		echo "ops-surface: label per-shard families in internal/cluster (obs.WithLabel) instead" >&2; exit 1; \
+	fi
+	@if grep -rnE --include='*.go' --exclude='*_test.go' '\.SetSpans\(|platform\.Recover\b' . | grep -v '^\./internal/cluster/'; then \
+		echo "ops-surface: assemble serving shards with cluster.BuildShard instead" >&2; exit 1; \
 	fi

@@ -59,22 +59,9 @@ func runCluster(ctx context.Context, o *options, spans *span.Journal, hook func(
 		}
 	}
 
-	cfg := cluster.NodeConfig{
-		Name:      o.node,
-		Shard:     o.shard,
-		StateDir:  o.stateDir,
-		AgentAddr: o.addr,
-		RepAddr:   o.repAddr,
-		Campaigns: owned,
-		Engine:    engine.Config{Workers: o.workers, OnRound: hook},
-		SpanSinks: spanSinks(spans),
-		Logf:      logf,
-		Audit:     o.audit,
-		AuditSLO:  o.slo,
-
-		Reputation:      o.reputation,
-		ReputationPrior: o.repPrior,
-	}
+	cfg := o.shardConfig(spans, hook)
+	cfg.Shard, cfg.AgentAddr, cfg.RepAddr = o.shard, o.addr, o.repAddr
+	cfg.Campaigns, cfg.Logf = owned, logf
 	if o.follow != "" {
 		shard, leaderRep, ok := strings.Cut(o.follow, "@")
 		if !ok || shard == "" || leaderRep == "" {

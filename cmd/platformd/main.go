@@ -4,9 +4,12 @@
 // every run is one engine serving its campaigns on one port: a single
 // campaign named "default" unless -campaigns asks for c1..cN. Agents that
 // name no campaign land in the first one. The engine's metrics snapshot is
-// printed at exit. Both a standalone run and a cluster node log every
-// settled round and stop when a round fails for a reason other than
-// infeasibility: winner determination itself broke.
+// printed at exit. A standalone run and a cluster node assemble every
+// shard they serve the same way, with cluster.BuildShard: recover the
+// -state-dir WAL, build the auditor and the reputation store, and order the
+// engine's event fan-out. Both log every settled round and stop when a
+// round fails for a reason other than infeasibility: winner determination
+// itself broke.
 //
 // Example (single task, three bidders, one round):
 //
@@ -62,6 +65,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"os/signal"
@@ -71,15 +75,13 @@ import (
 
 	"crowdsense/internal/auction"
 	"crowdsense/internal/buildinfo"
+	"crowdsense/internal/cluster"
 	"crowdsense/internal/engine"
 	"crowdsense/internal/mechanism"
 	"crowdsense/internal/obs"
 	"crowdsense/internal/obs/audit"
 	"crowdsense/internal/obs/span"
 	"crowdsense/internal/obs/spantool"
-	"crowdsense/internal/platform"
-	"crowdsense/internal/reputation"
-	"crowdsense/internal/store"
 )
 
 func main() {
@@ -255,35 +257,36 @@ func spanSinks(j *span.Journal) []span.Sink {
 	return []span.Sink{j}
 }
 
-// runEngine is platformd's one non-cluster serving path: it registers the
-// campaigns (or resumes the recovered ones), serves them on one listener
-// until they finish, and prints the engine's metrics snapshot on exit.
+// shardConfig turns the options into the settings both serving modes build
+// their shards from (cluster.BuildShard): a standalone run uses them as they
+// are, a cluster node adds its shard, addresses and campaigns.
+func (o *options) shardConfig(spans *span.Journal, hook func(engine.RoundResult)) cluster.NodeConfig {
+	return cluster.NodeConfig{
+		Name:            o.node,
+		StateDir:        o.stateDir,
+		Engine:          engine.Config{Workers: o.workers, OnRound: hook},
+		SpanSinks:       spanSinks(spans),
+		Audit:           o.audit,
+		AuditSLO:        o.slo,
+		Reputation:      o.reputation,
+		ReputationPrior: o.repPrior,
+	}
+}
+
+// runEngine is platformd's one non-cluster serving path: it builds the shard
+// (registering the campaigns, or resuming the recovered ones), serves it on
+// one listener until its campaigns finish, and prints the engine's metrics
+// snapshot on exit.
 func runEngine(ctx context.Context, o *options, spans *span.Journal, hook func(engine.RoundResult)) error {
 	start := time.Now()
-	sinks := spanSinks(spans)
+	cfg := o.shardConfig(spans, hook)
+	for _, id := range campaignIDs(o.campaigns) {
+		cfg.Campaigns = append(cfg.Campaigns, o.campaign(id))
+	}
 
 	// The ops endpoint comes up before recovery so /readyz can answer 503
-	// "recovering" while the WAL replays; the engine swaps in when ready.
+	// "recovering" while the WAL replays; the shard swaps in when serving.
 	ops := &opsState{}
-	if o.audit {
-		ops.aud = audit.New(audit.Config{SLO: o.slo})
-		// The auditor is also a span sink: span end events feed its SLO
-		// engine, alongside whatever journal -span-journal attached.
-		sinks = append(sinks, ops.aud)
-		sloCount := 0
-		if o.slo != nil {
-			sloCount = len(o.slo.Targets)
-		}
-		slog.Info("live auditor enabled", "slo_targets", sloCount)
-	}
-	if o.reputation {
-		rep, err := reputation.NewStore(reputation.StoreConfig{PriorStrength: o.repPrior})
-		if err != nil {
-			return err
-		}
-		ops.rep = rep
-		slog.Info("reputation loop enabled", "prior", o.repPrior)
-	}
 	if o.metricsAddr != "" {
 		srv, err := serveOps(o.metricsAddr, ops, spans)
 		if err != nil {
@@ -291,92 +294,48 @@ func runEngine(ctx context.Context, o *options, spans *span.Journal, hook func(e
 		}
 		defer srv.Close()
 	}
-
-	// Recover durable state, if configured. The WAL is the first event
-	// store; a round journal rides the same stream through a JournalStore.
-	var rec *platform.Recovered
-	var eventStore store.Store
-	if o.stateDir != "" {
-		ops.recovering.Store(true)
-		r, err := platform.Recover(o.stateDir, sinks...)
-		if err != nil {
-			return err
-		}
-		rec = r
-		ops.wal.Store(r.WAL)
-		defer func() {
-			if err := r.WAL.Close(); err != nil {
-				slog.Warn("wal close", "err", err)
-			}
-		}()
-		slog.Info("durable state recovered", "dir", o.stateDir,
-			"campaigns", len(r.State.Order),
-			"replayed_events", r.Info.ReplayedEvents,
-			"snapshot_seq", r.Info.SnapshotSeq,
-			"truncated_bytes", r.Info.TruncatedBytes,
-			"dropped_segments", r.Info.DroppedSegments)
-		eventStore = r.WAL
-	}
-	// The round journal is derived from the same event stream (one encoder,
-	// no drift).
+	var journal io.Writer
 	if o.journal != "" {
 		f, err := os.OpenFile(o.journal, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			return err
 		}
 		defer f.Close()
-		var seed *store.State
-		if rec != nil {
-			seed = rec.State
-		}
-		js, err := platform.NewJournalStore(f, seed)
-		if err != nil {
-			return err
-		}
-		eventStore = store.Multi(eventStore, js)
+		journal = f
 	}
-	ecfg := engine.Config{
-		Workers:    o.workers,
-		NodeID:     o.node,
-		SpanSinks:  sinks,
-		Store:      eventStore,
-		Reputation: ops.rep,
-		OnRound:    hook,
-	}
-	if ops.aud != nil {
-		// The auditor rides the emit path after the WAL and the journal,
-		// checking each round as it settles.
-		ecfg.Store = store.Multi(eventStore, ops.aud)
-		ecfg.AuditStatus = ops.aud.Status
-	}
-	eng := engine.New(ecfg)
-	if ops.aud != nil {
-		// Audit spans land in the engine's own ring and journal.
-		ops.aud.SetSpans(eng.SpanTracer())
-	}
-	if rec.HasCampaigns() {
-		if err := eng.Restore(rec.State); err != nil {
-			return err
-		}
-		slog.Info("resuming recovered campaigns; campaign flags ignored",
-			"campaigns", len(rec.State.Order))
-	} else {
-		for _, id := range campaignIDs(o.campaigns) {
-			if err := eng.AddCampaign(o.campaign(id)); err != nil {
-				return err
-			}
-		}
-	}
-	if err := eng.Listen(o.addr); err != nil {
+
+	ops.recovering.Store(o.stateDir != "")
+	sh, err := cluster.BuildShard(cfg, journal)
+	if err != nil {
 		return err
 	}
-	slog.Info("engine listening", "addr", eng.Addr().String(), "campaigns", len(eng.Results()),
-		"rounds", o.rounds, "tasks", o.tasks, "requirement", o.requirement, "bidders", o.bidders)
-	ops.setEngine(eng)
+	defer func() {
+		if err := sh.Close(); err != nil {
+			slog.Warn("wal close", "err", err)
+		}
+	}()
+	if sh.WAL != nil {
+		info := sh.Recovery
+		slog.Info("durable state recovered", "dir", o.stateDir,
+			"replayed_events", info.ReplayedEvents,
+			"snapshot_seq", info.SnapshotSeq,
+			"truncated_bytes", info.TruncatedBytes,
+			"dropped_segments", info.DroppedSegments)
+	}
+	if sh.Restored {
+		slog.Info("resuming recovered campaigns; campaign flags ignored", "campaigns", sh.Campaigns)
+	}
+	if err := sh.Engine.Listen(o.addr); err != nil {
+		return err
+	}
+	slog.Info("engine listening", "addr", sh.Engine.Addr().String(), "campaigns", sh.Campaigns,
+		"rounds", o.rounds, "tasks", o.tasks, "requirement", o.requirement, "bidders", o.bidders,
+		"audit", o.audit, "reputation", o.reputation)
+	ops.serve(sh)
 
-	err := eng.Serve(ctx)
+	err = sh.Engine.Serve(ctx)
 	fmt.Printf("\nengine metrics after %s:\n%s\n",
-		time.Since(start).Round(time.Millisecond), eng.Snapshot())
+		time.Since(start).Round(time.Millisecond), sh.Engine.Snapshot())
 	return err
 }
 
@@ -419,56 +378,45 @@ func serveOps(addr string, src opsSource, spans *span.Journal) (*obs.OpsServer, 
 }
 
 // opsState is the standalone opsSource and the swap point between
-// "recovering" and "serving": before an engine is installed, /readyz answers
-// 503 recovering (when a WAL replay is in progress) and /metrics serves WAL
-// counters only; once the engine takes over, its full surface is exposed.
+// "recovering" and "serving": until a shard is installed, /readyz answers
+// 503 recovering while a WAL replays (idle otherwise) and /metrics and the
+// /debug reports are empty; once the shard serves, its full surface is
+// exposed.
 type opsState struct {
-	aud        *audit.Auditor    // set before serving starts; nil without -audit
-	rep        *reputation.Store // set before serving starts; nil without -reputation
-	wal        atomic.Pointer[store.WAL]
-	eng        atomic.Pointer[engine.Engine]
+	shard      atomic.Pointer[cluster.Shard]
 	recovering atomic.Bool
 }
 
-func (o *opsState) setEngine(e *engine.Engine) {
-	o.eng.Store(e)
+// serve installs the serving shard and ends the recovering window.
+func (o *opsState) serve(sh *cluster.Shard) {
+	o.shard.Store(sh)
 	o.recovering.Store(false)
 }
 
 func (o *opsState) MetricFamilies() []obs.Family {
-	var fams []obs.Family
-	if e := o.eng.Load(); e != nil {
-		fams = e.MetricFamilies()
+	if sh := o.shard.Load(); sh != nil {
+		return sh.MetricFamilies()
 	}
-	if w := o.wal.Load(); w != nil {
-		fams = append(fams, w.Families()...)
-	}
-	if o.aud != nil {
-		fams = append(fams, o.aud.Families()...)
-	}
-	if o.rep != nil {
-		fams = append(fams, o.rep.Families()...)
-	}
-	return fams
+	return nil
 }
 
 func (o *opsState) AuditReports() []obs.AuditReport {
-	if o.aud != nil {
-		return []obs.AuditReport{o.aud.Report()}
+	if sh := o.shard.Load(); sh != nil {
+		return sh.AuditReports()
 	}
 	return nil
 }
 
 func (o *opsState) ReputationReports() []obs.ReputationReport {
-	if o.rep != nil {
-		return []obs.ReputationReport{o.rep.Report()}
+	if sh := o.shard.Load(); sh != nil {
+		return sh.ReputationReports()
 	}
 	return nil
 }
 
 func (o *opsState) Health() obs.Health {
-	if e := o.eng.Load(); e != nil {
-		return e.Health()
+	if sh := o.shard.Load(); sh != nil {
+		return sh.Engine.Health()
 	}
 	status := obs.StatusIdle
 	if o.recovering.Load() {
@@ -478,15 +426,15 @@ func (o *opsState) Health() obs.Health {
 }
 
 func (o *opsState) Readiness() obs.Readiness {
-	if e := o.eng.Load(); e != nil {
-		return e.Readiness()
+	if sh := o.shard.Load(); sh != nil {
+		return sh.Engine.Readiness()
 	}
 	return obs.Readiness{Health: o.Health()}
 }
 
 func (o *opsState) SpanRecords(n int) []span.Record {
-	if e := o.eng.Load(); e != nil {
-		return e.SpanRecords(n)
+	if sh := o.shard.Load(); sh != nil {
+		return sh.Engine.SpanRecords(n)
 	}
 	return nil
 }

@@ -10,12 +10,14 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"crowdsense/internal/agent"
 	"crowdsense/internal/auction"
+	"crowdsense/internal/cluster"
 	"crowdsense/internal/engine"
 	"crowdsense/internal/mechanism"
 	"crowdsense/internal/obs"
@@ -352,5 +354,44 @@ func TestStandaloneOpsSurface(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("platformd did not exit after cancellation")
+	}
+}
+
+// TestOpsStateRecoveringWindow: until a shard is installed, opsState answers
+// recovering and not ready while a WAL replay runs, idle otherwise; once the
+// shard serves, Health and Readiness are its engine's.
+func TestOpsStateRecoveringWindow(t *testing.T) {
+	ops := &opsState{}
+	if h := ops.Health(); h.Status != obs.StatusIdle {
+		t.Errorf("no recovery, no shard: Health %q, want %q", h.Status, obs.StatusIdle)
+	}
+	ops.recovering.Store(true)
+	if h := ops.Health(); h.Status != obs.StatusRecovering {
+		t.Errorf("recovering: Health %q, want %q", h.Status, obs.StatusRecovering)
+	}
+	if r := ops.Readiness(); r.OK() || r.Health.Status != obs.StatusRecovering {
+		t.Errorf("recovering: Readiness %+v, want not OK and %q", r, obs.StatusRecovering)
+	}
+
+	o, err := parseOptions(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := o.shardConfig(nil, nil)
+	cfg.Campaigns = []engine.CampaignConfig{o.campaign("default")}
+	sh, err := cluster.BuildShard(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sh.Close()
+	ops.serve(sh)
+	if got, want := ops.Health(), sh.Engine.Health(); got != want {
+		t.Errorf("installed: Health %+v, want the engine's %+v", got, want)
+	}
+	if got, want := ops.Readiness(), sh.Engine.Readiness(); !reflect.DeepEqual(got, want) {
+		t.Errorf("installed: Readiness %+v, want the engine's %+v", got, want)
+	}
+	if _, ok := ops.Readiness().Campaigns["default"]; !ok {
+		t.Errorf("installed: Readiness lists no campaign default")
 	}
 }

@@ -33,14 +33,7 @@ func shardLabel(shard string) obs.Label { return obs.Label{Name: "shard", Value:
 func (n *Node) MetricFamilies() []obs.Family {
 	fams := n.clusterFamilies()
 	for _, s := range n.led() {
-		own := append(s.eng.MetricFamilies(), s.wal.Families()...)
-		if s.aud != nil {
-			own = append(own, s.aud.Families()...)
-		}
-		if s.rep != nil {
-			own = append(own, s.rep.Families()...)
-		}
-		fams = append(fams, obs.WithLabel(own, shardLabel(s.id))...)
+		fams = append(fams, obs.WithLabel(s.MetricFamilies(), shardLabel(s.id))...)
 	}
 	return fams
 }

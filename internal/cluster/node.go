@@ -13,7 +13,6 @@ import (
 	"crowdsense/internal/obs"
 	"crowdsense/internal/obs/audit"
 	"crowdsense/internal/obs/span"
-	"crowdsense/internal/platform"
 	"crowdsense/internal/reputation"
 	"crowdsense/internal/store"
 )
@@ -44,7 +43,8 @@ type FollowConfig struct {
 }
 
 // NodeConfig parameterizes one cluster node: the leader of exactly one
-// shard, optionally standing by for one other.
+// shard, optionally standing by for one other. Its shard settings (see
+// BuildShard) also describe a standalone platformd's one shard.
 type NodeConfig struct {
 	// Name identifies the node in logs, spans, and replication hellos.
 	Name string
@@ -60,8 +60,9 @@ type NodeConfig struct {
 	// Campaigns are registered when the state directory starts empty;
 	// non-empty state is restored instead and Campaigns is ignored.
 	Campaigns []engine.CampaignConfig
-	// Engine tunes the embedded engine. Store, SpanSinks and OnRoundOpen are
-	// managed by the node; other fields pass through.
+	// Engine tunes the embedded engine. NodeID, Store, AuditStatus and
+	// Reputation are set by BuildShard and SpanSinks is extended there;
+	// other fields pass through.
 	Engine engine.Config
 	// SpanSinks receive replication/failover/recovery spans (and are wired
 	// into the embedded engine).
@@ -111,28 +112,23 @@ func (c NodeConfig) dialRetry() time.Duration {
 }
 
 // shardState is one shard's presence on a node: the role, and — when
-// leading — the live engine, WAL, and (when enabled) auditor and reputation
-// store.
+// leading — the built shard.
 type shardState struct {
-	role string
-	eng  *engine.Engine
-	wal  *store.WAL
-	aud  *audit.Auditor
-	rep  *reputation.Store
+	role  string
+	shard *Shard // nil unless leading
 }
 
 // ledShard is one entry of a Node.led snapshot: a led shard and its parts.
 type ledShard struct {
 	id string
-	shardState
+	*Shard
 }
 
 // Node is one platformd process's cluster presence: leader of cfg.Shard,
 // optional follower of cfg.Follow.Shard. Start brings up the leader side
-// (recover → engine → listeners) and, when configured, the follower loop;
-// Close tears everything down. Halt kills the node abruptly — listeners and
-// replication sessions die, the WAL is abandoned without a final flush —
-// which is how tests simulate a crash.
+// (BuildShard → listeners) and, when configured, the follower loop; Close
+// tears everything down; Halt does the same but discards the errors, and is
+// not a crash (see Halt).
 type Node struct {
 	cfg    NodeConfig
 	spans  *span.Tracer
@@ -161,14 +157,14 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		cancel: cancel,
 		shards: make(map[string]*shardState),
 	}
-	led, err := n.startLeader(cfg.Shard, cfg.StateDir, cfg.AgentAddr, cfg.Campaigns)
+	led, err := n.startLeader(cfg.Shard, cfg, cfg.AgentAddr)
 	if err != nil {
 		cancel()
 		return nil, err
 	}
-	n.setShard(cfg.Shard, led)
+	n.setShard(cfg.Shard, &shardState{role: RoleLeader, shard: led})
 	if cfg.RepAddr != "" {
-		rep, err := newRepServer(n, cfg.Shard, cfg.RepAddr, led.wal)
+		rep, err := newRepServer(n, cfg.Shard, cfg.RepAddr, led.WAL)
 		if err != nil {
 			n.Close()
 			return nil, err
@@ -190,80 +186,29 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	return n, nil
 }
 
-// startLeader recovers dir, builds an engine serving the shard's campaigns
-// on addr, runs it, and returns the shard's leader state. Fresh state
-// registers the configured campaigns; recovered state resumes them. With
-// NodeConfig.Audit set, a per-shard auditor rides the engine's store fan-out
-// after the WAL and its status gates readiness. With NodeConfig.Reputation
-// set, a per-shard reputation store rides the engine's emit path and is
-// seeded from the recovered state's last durable checkpoint.
-func (n *Node) startLeader(shard, dir, addr string, campaigns []engine.CampaignConfig) (*shardState, error) {
-	rec, err := platform.Recover(dir, n.sinks()...)
+// startLeader builds the shard cfg describes (BuildShard), binds it on addr
+// and serves it until the node stops.
+func (n *Node) startLeader(shard string, cfg NodeConfig, addr string) (*Shard, error) {
+	sh, err := BuildShard(cfg, nil)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("cluster: shard %s: %w", shard, err)
 	}
-	ecfg := n.cfg.Engine
-	ecfg.NodeID = n.cfg.Name
-	ecfg.Store = store.Multi(rec.WAL, ecfg.Store)
-	ecfg.SpanSinks = append(ecfg.SpanSinks, n.cfg.SpanSinks...)
-	var aud *audit.Auditor
-	if n.cfg.Audit {
-		var acfg audit.Config
-		if n.cfg.AuditSLO != nil {
-			slo := *n.cfg.AuditSLO
-			acfg.SLO = &slo
-		}
-		aud = audit.New(acfg)
-		// The auditor is a span sink (SLO feed), the readiness gate, and an
-		// event store after the WAL: it checks each round as it settles on
-		// the emit path, starting with the round Restore reopens.
-		ecfg.Store = store.Multi(ecfg.Store, aud)
-		ecfg.SpanSinks = append(ecfg.SpanSinks, aud)
-		ecfg.AuditStatus = aud.Status
-	}
-	var rep *reputation.Store
-	if n.cfg.Reputation {
-		rep, err = reputation.NewStore(reputation.StoreConfig{PriorStrength: n.cfg.ReputationPrior})
-		if err != nil {
-			rec.WAL.Close()
-			return nil, fmt.Errorf("cluster: shard %s reputation: %w", shard, err)
-		}
-		// The engine feeds the store on the emit path and seeds it from
-		// rec.State.Reputation inside Restore, so a promoted follower picks
-		// up the replicated checkpoint.
-		ecfg.Reputation = rep
-	}
-	eng := engine.New(ecfg)
-	if aud != nil {
-		aud.SetSpans(eng.SpanTracer())
-	}
-	if rec.HasCampaigns() {
-		if err := eng.Restore(rec.State); err != nil {
-			rec.WAL.Close()
-			return nil, fmt.Errorf("cluster: restore shard %s: %w", shard, err)
-		}
+	if sh.Restored {
 		n.logf("node %s: shard %s restored (%d campaigns, %d events replayed)",
-			n.cfg.Name, shard, len(rec.State.Order), rec.Info.ReplayedEvents)
-	} else {
-		for _, cc := range campaigns {
-			if err := eng.AddCampaign(cc); err != nil {
-				rec.WAL.Close()
-				return nil, fmt.Errorf("cluster: register %s on shard %s: %w", cc.ID, shard, err)
-			}
-		}
+			n.cfg.Name, shard, sh.Campaigns, sh.Recovery.ReplayedEvents)
 	}
-	if err := eng.Listen(addr); err != nil {
-		rec.WAL.Close()
+	if err := sh.Engine.Listen(addr); err != nil {
+		sh.Close()
 		return nil, fmt.Errorf("cluster: shard %s: %w", shard, err)
 	}
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
-		if err := eng.Serve(n.ctx); err != nil && n.ctx.Err() == nil {
+		if err := sh.Engine.Serve(n.ctx); err != nil && n.ctx.Err() == nil {
 			n.logf("node %s: shard %s engine: %v", n.cfg.Name, shard, err)
 		}
 	}()
-	return &shardState{role: RoleLeader, eng: eng, wal: rec.WAL, aud: aud, rep: rep}, nil
+	return sh, nil
 }
 
 // AgentAddr returns the bound agent address for a shard this node currently
@@ -286,26 +231,26 @@ func (n *Node) RepAddr() string {
 	return n.rep.addr()
 }
 
-// leading returns shard's state if this node leads it, the zero state
+// leading returns shard's parts if this node leads it, the zero Shard
 // otherwise.
-func (n *Node) leading(shard string) shardState {
+func (n *Node) leading(shard string) Shard {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if s := n.shards[shard]; s != nil && s.role == RoleLeader {
-		return *s
+	if s := n.shards[shard]; s != nil && s.shard != nil {
+		return *s.shard
 	}
-	return shardState{}
+	return Shard{}
 }
 
 // Engine returns the live engine for a shard this node leads, nil otherwise.
-func (n *Node) Engine(shard string) *engine.Engine { return n.leading(shard).eng }
+func (n *Node) Engine(shard string) *engine.Engine { return n.leading(shard).Engine }
 
 // WAL returns the live WAL for a shard this node leads, nil otherwise.
-func (n *Node) WAL(shard string) *store.WAL { return n.leading(shard).wal }
+func (n *Node) WAL(shard string) *store.WAL { return n.leading(shard).WAL }
 
 // Reputation returns the live reputation store for a shard this node leads,
 // nil otherwise (or when the loop is disabled).
-func (n *Node) Reputation(shard string) *reputation.Store { return n.leading(shard).rep }
+func (n *Node) Reputation(shard string) *reputation.Store { return n.leading(shard).Reputation }
 
 // led snapshots the shards this node leads, sorted by shard — the one view
 // behind readiness, the /debug reports and the per-shard metric families.
@@ -313,8 +258,8 @@ func (n *Node) led() []ledShard {
 	n.mu.Lock()
 	out := make([]ledShard, 0, len(n.shards))
 	for id, s := range n.shards {
-		if s.role == RoleLeader {
-			out = append(out, ledShard{id: id, shardState: *s})
+		if s.shard != nil {
+			out = append(out, ledShard{id: id, Shard: s.shard})
 		}
 	}
 	n.mu.Unlock()
@@ -340,7 +285,7 @@ func (n *Node) Roles() map[string]string {
 func (n *Node) Health() obs.Health {
 	var hs []obs.Health
 	for _, s := range n.led() {
-		hs = append(hs, s.eng.Health())
+		hs = append(hs, s.Engine.Health())
 	}
 	return mergeHealth(hs, n.Roles())
 }
@@ -353,16 +298,16 @@ func (n *Node) Readiness() obs.Readiness {
 	rep := obs.Readiness{Campaigns: map[string]obs.CampaignStatus{}, Shards: roles}
 	var hs []obs.Health
 	for _, s := range n.led() {
-		er := s.eng.Readiness()
+		er := s.Engine.Readiness()
 		hs = append(hs, er.Health)
 		for id, st := range er.Campaigns {
 			rep.Campaigns[id] = st
 		}
-		if s.aud != nil {
+		if s.Auditor != nil {
 			if rep.ShardAudit == nil {
 				rep.ShardAudit = make(map[string]*obs.AuditStatus)
 			}
-			rep.ShardAudit[s.id] = s.aud.Status()
+			rep.ShardAudit[s.id] = s.Auditor.Status()
 		}
 	}
 	rep.Health = mergeHealth(hs, roles)
@@ -398,7 +343,7 @@ func (n *Node) SpanRecords(limit int) []span.Record {
 	}
 	var recs []span.Record
 	for _, s := range n.led() {
-		recs = append(recs, s.eng.SpanRecords(limit)...)
+		recs = append(recs, s.Engine.SpanRecords(limit)...)
 	}
 	sort.SliceStable(recs, func(i, j int) bool { return spanEnd(recs[i]).Before(spanEnd(recs[j])) })
 	if len(recs) > limit {
@@ -414,8 +359,7 @@ func spanEnd(r span.Record) time.Time { return r.Start.Add(r.Duration()) }
 func (n *Node) AuditReports() []obs.AuditReport {
 	reports := []obs.AuditReport{}
 	for _, s := range n.led() {
-		if s.aud != nil {
-			r := s.aud.Report()
+		for _, r := range s.AuditReports() {
 			r.Shard = s.id
 			reports = append(reports, r)
 		}
@@ -428,8 +372,7 @@ func (n *Node) AuditReports() []obs.AuditReport {
 func (n *Node) ReputationReports() []obs.ReputationReport {
 	reports := []obs.ReputationReport{}
 	for _, s := range n.led() {
-		if s.rep != nil {
-			r := s.rep.Report()
+		for _, r := range s.ReputationReports() {
 			r.Shard = s.id
 			reports = append(reports, r)
 		}
@@ -456,15 +399,17 @@ func (n *Node) promote(f FollowConfig, replicaSeq uint64) error {
 		span.Str("node", n.cfg.Name),
 		span.Int("replica_seq", int64(replicaSeq)),
 	)
-	led, err := n.startLeader(f.Shard, f.StateDir, f.AgentAddr, nil)
+	cfg := n.cfg
+	cfg.StateDir, cfg.Campaigns = f.StateDir, nil
+	led, err := n.startLeader(f.Shard, cfg, f.AgentAddr)
 	if err != nil {
 		sp.EndWith(span.Str("error", err.Error()))
 		n.setShard(f.Shard, &shardState{role: RoleFollower})
 		return err
 	}
-	n.setShard(f.Shard, led)
+	n.setShard(f.Shard, &shardState{role: RoleLeader, shard: led})
 	if f.RepAddr != "" {
-		rep, err := newRepServer(n, f.Shard, f.RepAddr, led.wal)
+		rep, err := newRepServer(n, f.Shard, f.RepAddr, led.WAL)
 		if err != nil {
 			n.logf("node %s: promoted shard %s but replication listener failed: %v", n.cfg.Name, f.Shard, err)
 		} else {
@@ -493,8 +438,11 @@ func (n *Node) Close() error {
 	return n.shutdown(true)
 }
 
-// Halt kills the node as a crash would: everything stops, but WAL contents
-// beyond the last group commit are abandoned with the process.
+// Halt stops the node as Close does, discarding the errors Close would
+// report. It is not a crash: every led shard's WAL is still closed, which
+// flushes and fsyncs what it buffered, so Halt loses nothing a clean Close
+// keeps. A Halt that drops the unflushed tail is ROADMAP's crash-primitive
+// item.
 func (n *Node) Halt() {
 	n.shutdown(false)
 }
@@ -509,8 +457,8 @@ func (n *Node) shutdown(flush bool) error {
 	rep := n.rep
 	var wals []*store.WAL
 	for _, s := range n.shards {
-		if s.wal != nil {
-			wals = append(wals, s.wal)
+		if s.shard != nil && s.shard.WAL != nil {
+			wals = append(wals, s.shard.WAL)
 		}
 	}
 	n.mu.Unlock()
@@ -521,10 +469,10 @@ func (n *Node) shutdown(flush bool) error {
 	}
 	var errs []error
 	for _, w := range wals {
-		// Closing the WAL flushes; a crash simulation still closes (the
-		// test's quiesce step guarantees nothing unflushed matters), because
-		// leaking the flusher goroutine would trip the race detector's
-		// goroutine accounting across tests.
+		// Closing the WAL flushes; Halt still closes (the test's quiesce
+		// step guarantees nothing unflushed matters), because leaking the
+		// flusher goroutine would trip the race detector's goroutine
+		// accounting across tests.
 		if err := w.Close(); err != nil && flush {
 			errs = append(errs, err)
 		}
@@ -532,10 +480,6 @@ func (n *Node) shutdown(flush bool) error {
 	// Engines stop via ctx cancellation.
 	n.wg.Wait()
 	return errors.Join(errs...)
-}
-
-func (n *Node) sinks() []span.Sink {
-	return n.cfg.SpanSinks
 }
 
 func (n *Node) logf(format string, args ...any) {

@@ -2,13 +2,14 @@
 // round journal (one JSON line per settled round, with every bid, EC
 // contract and settlement of the paper's Fig. 1 steps 2–6), the offline
 // auditor that checks each line against the mechanism's invariants
-// (CheckRound, Audit), the JournalStore that derives the journal from the
-// engine's event stream, and Recover, which replays a state directory's WAL
-// for a restarting node.
+// (CheckRound, Audit), and the JournalStore that derives the journal from
+// the engine's event stream. Replaying a state directory's WAL belongs to
+// the one shard assembly, cluster.BuildShard.
 //
-// The auction itself is served by internal/engine: platformd registers its
-// campaigns there (one named "default" unless -campaigns asks for more) and
-// writes the journal through a JournalStore on the engine's event stream.
+// The auction itself is served by internal/engine, assembled into a shard
+// by cluster.BuildShard: platformd registers its campaigns there (one named
+// "default" unless -campaigns asks for more) and hands it the -journal file,
+// which a JournalStore on the engine's event stream writes.
 package platform
 
 import (

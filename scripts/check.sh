@@ -20,8 +20,9 @@
 # (`make prod-symbols`), a check that only internal/store switches on event
 # types (`make event-fold`), a check that the knapsack and set-cover solvers
 # start no goroutines (`make wd-fanout`), a cluster node's per-shard
-# metrics surface with its one shard-label site and platformd's one ops
-# endpoint set on a cluster node (`make ops-surface`), and the
+# metrics surface with its one shard-label site, platformd's one ops
+# endpoint set on a cluster node and standalone, and the one serving-shard
+# assembly, cluster.BuildShard (`make ops-surface`), and the
 # differential and smoke gates. The commands and package
 # lists live only in the Makefile. Run it from the repo root.
 set -eux
